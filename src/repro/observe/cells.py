@@ -8,8 +8,7 @@ time (machine noise makes hard time gates flaky; ``repro compare`` reports
 time but only gates on metrics, and this tool only prints).
 
 Lives in :mod:`repro.observe` as the read-only sibling of the history
-store; ``tools/print_cell_times.py`` remains as a thin shim for the
-existing CI invocation, and ``repro cells`` is the in-CLI spelling.
+store; ``repro cells`` is its CLI spelling.
 
 Usage::
 
@@ -74,12 +73,12 @@ def print_timings(path: Path) -> int:
 def main(argv: list[str]) -> int:
     """Print timing tables for every artifact named on the command line."""
     if not argv:
-        print("usage: print_cell_times.py ARTIFACT.jsonl [...]", file=sys.stderr)
+        print("usage: repro cells ARTIFACT.jsonl [...]", file=sys.stderr)
         return 2
     for name in argv:
         path = Path(name)
         if not path.is_file():
-            print(f"print_cell_times: no such artifact {name}", file=sys.stderr)
+            print(f"repro cells: no such artifact {name}", file=sys.stderr)
             return 2
         print_timings(path)
     return 0

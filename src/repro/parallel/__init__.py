@@ -1,47 +1,19 @@
-"""Execution backends: where the batched kernels actually run.
+"""Where the batched kernels run, and cell-level parallelism.
 
-The coloring layer asks *what* to compute (conflict masks, used-color
-masks, slack counts); an :class:`~repro.parallel.backend.ExecutionBackend`
-decides *where*.  :class:`~repro.parallel.backend.SerialBackend` evaluates
-kernels in-process and is bitwise-identical to calling them directly --
-the default every pinned-seed digest gates.
-:class:`~repro.parallel.sharded.ShardedBackend` partitions the CSR into
-vertex shards (:func:`repro.graphcore.shard_csr`), evaluates each kernel
-per shard -- inline or in a persistent forked worker pool sharing the
-color state through anonymous shared memory -- merges results in
-deterministic shard order, and charges a separate exchange ledger for the
-boundary colors that cross shards between rounds.
-
-:mod:`repro.parallel.pool` holds the process-pool and SIGALRM-watchdog
-machinery shared by the sharded backend and the experiment runner.
+:data:`~repro.parallel.backend.SERIAL_BACKEND` is the single in-process
+entry point through which the coloring layer evaluates the batched
+graphcore kernels.  :mod:`repro.parallel.pool` holds the process-pool
+(:func:`scatter`) and SIGALRM-watchdog machinery the experiment runner
+uses to run independent cells in parallel under a time budget.
 """
 
-from repro.parallel.backend import (
-    BACKEND_ENV_VAR,
-    SHARDS_ENV_VAR,
-    ExecutionBackend,
-    SerialBackend,
-    make_backend,
-)
-from repro.parallel.pool import (
-    ShardWorkerPool,
-    WatchdogTimeout,
-    WorkerCrash,
-    alarm_available,
-    scatter,
-)
-from repro.parallel.sharded import ShardedBackend
+from repro.parallel.backend import SERIAL_BACKEND, SerialBackend
+from repro.parallel.pool import WatchdogTimeout, alarm_available, scatter
 
 __all__ = [
-    "BACKEND_ENV_VAR",
-    "SHARDS_ENV_VAR",
-    "ExecutionBackend",
+    "SERIAL_BACKEND",
     "SerialBackend",
-    "ShardedBackend",
-    "ShardWorkerPool",
     "WatchdogTimeout",
-    "WorkerCrash",
     "alarm_available",
-    "make_backend",
     "scatter",
 ]

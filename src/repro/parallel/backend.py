@@ -1,33 +1,15 @@
-"""The ExecutionBackend contract and the serial reference implementation.
+"""The single in-process entry point for the batched graphcore kernels.
 
-A backend evaluates the pure batched kernels of
-:mod:`repro.graphcore.kernels` on behalf of the coloring layer.  The
-contract (docs/PARALLEL.md) has three clauses:
-
-* **Value identity.**  For identical inputs, every backend returns the
-  exact arrays the underlying kernel would: backends change *where* a
-  kernel runs, never *what* it computes.  Because kernels are pure (no
-  RNG, no ledger charges, no mutation), and all randomness stays with the
-  coordinating process, colorings, RNG streams, and simulated-ledger
-  charges are identical across backends and shard counts.
-* **Deterministic merge.**  A sharded evaluation merges per-shard results
-  in shard-index order, so repeated runs agree bit-for-bit.
-* **Separate exchange accounting.**  Real cross-shard boundary traffic is
-  charged to a backend-owned exchange ledger (surfaced via
-  :meth:`ExecutionBackend.exchange_summary`), never to the simulation's
-  :class:`~repro.network.ledger.BandwidthLedger` -- the simulated metrics
-  of a run are backend-invariant by construction.
-
-:class:`SerialBackend` is the identity implementation: direct in-process
-delegation, used by default everywhere and bitwise-identical to the
-pre-backend call sites (gated by the pinned-seed digests).
+The coloring layer evaluates the pure batched kernels of
+:mod:`repro.graphcore.kernels` through :data:`SERIAL_BACKEND`, the shared
+:class:`SerialBackend` instance.  Each method is a direct call-through,
+so results are bitwise-identical to calling the kernels themselves (gated
+by the pinned-seed digests).  The class is the one per-kernel choke point
+of a coloring run: instrumentation that wants per-kernel call counts,
+rows and wall time wraps these three methods.
 """
 
 from __future__ import annotations
-
-import os
-from abc import ABC, abstractmethod
-from typing import Any
 
 import numpy as np
 
@@ -38,29 +20,10 @@ from repro.graphcore import (
     batch_used_color_masks,
 )
 
-#: Environment variable naming the default backend (``serial``/``sharded``);
-#: CLI flags override it.  Lets CI flip a whole sweep without new plumbing.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
 
-#: Environment variable naming the default shard count for ``sharded``.
-SHARDS_ENV_VAR = "REPRO_SHARDS"
+class SerialBackend:
+    """In-process kernel evaluation: direct delegation to graphcore."""
 
-
-class ExecutionBackend(ABC):
-    """Where batched kernels run (see module docstring for the contract)."""
-
-    #: Human-readable backend name (``repro sweep`` records it).
-    name: str = "abstract"
-
-    def bind(self, runtime: Any) -> None:
-        """Attach to one execution's runtime (graph, tracer, color width).
-
-        Called by :class:`~repro.aggregation.runtime.ClusterRuntime` at
-        construction.  Backends use it to size shared state and reset
-        exchange accounting; the serial backend ignores it.
-        """
-
-    @abstractmethod
     def conflict_mask(
         self,
         csr: CSRAdjacency,
@@ -72,8 +35,15 @@ class ExecutionBackend(ABC):
         symmetric: bool = False,
     ) -> np.ndarray:
         """Evaluate :func:`repro.graphcore.batch_conflict_mask`."""
+        return batch_conflict_mask(
+            csr,
+            colors,
+            vertices,
+            candidates,
+            proposal_map=proposal_map,
+            symmetric=symmetric,
+        )
 
-    @abstractmethod
     def used_color_masks(
         self,
         csr: CSRAdjacency,
@@ -82,8 +52,8 @@ class ExecutionBackend(ABC):
         num_colors: int,
     ) -> np.ndarray:
         """Evaluate :func:`repro.graphcore.batch_used_color_masks`."""
+        return batch_used_color_masks(csr, colors, vertices, num_colors)
 
-    @abstractmethod
     def slack_counts(
         self,
         csr: CSRAdjacency,
@@ -94,83 +64,10 @@ class ExecutionBackend(ABC):
         active_mask: np.ndarray | None = None,
     ) -> np.ndarray:
         """Evaluate :func:`repro.graphcore.batch_slack_counts`."""
-
-    def exchange_summary(self) -> dict[str, int] | None:
-        """Cross-shard boundary-traffic totals, or ``None`` for backends
-        that move no data between address spaces (the serial backend)."""
-        return None
-
-    def close(self) -> None:
-        """Release worker processes / shared memory (idempotent)."""
-
-
-class SerialBackend(ExecutionBackend):
-    """In-process kernel evaluation -- the bitwise reference backend."""
-
-    name = "serial"
-
-    def conflict_mask(
-        self, csr, colors, vertices, candidates, *, proposal_map=None, symmetric=False
-    ):
-        """Direct delegation to :func:`repro.graphcore.batch_conflict_mask`."""
-        return batch_conflict_mask(
-            csr,
-            colors,
-            vertices,
-            candidates,
-            proposal_map=proposal_map,
-            symmetric=symmetric,
-        )
-
-    def used_color_masks(self, csr, colors, vertices, num_colors):
-        """Direct delegation to :func:`repro.graphcore.batch_used_color_masks`."""
-        return batch_used_color_masks(csr, colors, vertices, num_colors)
-
-    def slack_counts(self, csr, colors, vertices, num_colors, *, active_mask=None):
-        """Direct delegation to :func:`repro.graphcore.batch_slack_counts`."""
         return batch_slack_counts(
             csr, colors, vertices, num_colors, active_mask=active_mask
         )
 
 
-#: Shared default instance: the serial backend is stateless, so every
-#: runtime can use the same object without interference.
+#: Shared instance every kernel call site uses (the class is stateless).
 SERIAL_BACKEND = SerialBackend()
-
-
-def make_backend(
-    spec: str | ExecutionBackend | None = None,
-    *,
-    shards: int | None = None,
-    mode: str | None = None,
-) -> ExecutionBackend:
-    """Resolve a backend from a CLI spec string, env vars, or an instance.
-
-    ``spec`` may be ``"serial"``, ``"sharded"``, ``"sharded:<k>"``, an
-    already-built :class:`ExecutionBackend` (returned as-is), or ``None``
-    to consult ``$REPRO_BACKEND`` (defaulting to serial).  ``shards``
-    overrides the shard count (else ``"sharded:<k>"``, else
-    ``$REPRO_SHARDS``, else 2).  ``mode`` selects the sharded execution
-    mode (``"fork"``/``"inline"``/``"auto"``; see
-    :class:`~repro.parallel.sharded.ShardedBackend`).
-    """
-    if isinstance(spec, ExecutionBackend):
-        return spec
-    if spec is None:
-        spec = os.environ.get(BACKEND_ENV_VAR) or "serial"
-    spec = spec.strip().lower()
-    if spec.startswith("sharded:"):
-        spec, _, embedded = spec.partition(":")
-        if shards is None:
-            shards = int(embedded)
-    if spec == "serial":
-        return SERIAL_BACKEND
-    if spec == "sharded":
-        from repro.parallel.sharded import ShardedBackend
-
-        if shards is None:
-            env_shards = os.environ.get(SHARDS_ENV_VAR)
-            shards = int(env_shards) if env_shards else 2
-        kwargs = {} if mode is None else {"mode": mode}
-        return ShardedBackend(shards=shards, **kwargs)
-    raise ValueError(f"unknown backend spec {spec!r} (serial|sharded[:k])")

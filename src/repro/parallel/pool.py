@@ -1,15 +1,9 @@
-"""Shared process-pool and watchdog machinery.
+"""Process-pool and watchdog machinery for cell-level parallelism.
 
-Two consumers, one implementation:
-
-* the experiment runner (:mod:`repro.experiments.runner`) scatters
-  independent cells across a ``ProcessPoolExecutor`` (:func:`scatter`) and
-  interrupts over-budget cells with a re-firing ``SIGALRM`` watchdog
-  (:func:`arm_alarm` / :func:`disarm_alarm`);
-* the sharded execution backend (:mod:`repro.parallel.sharded`) keeps a
-  *persistent* set of forked workers alive across every kernel call of a
-  pipeline (:class:`ShardWorkerPool`), because respawning per call would
-  dwarf the kernels themselves.
+The experiment runner (:mod:`repro.experiments.runner`) scatters
+independent cells across a ``ProcessPoolExecutor`` (:func:`scatter`) and
+interrupts over-budget cells with a re-firing ``SIGALRM`` watchdog
+(:func:`arm_alarm` / :func:`disarm_alarm`).
 
 The watchdog only raises while armed, so a late interval re-fire landing
 inside a caller's own except/finally bookkeeping cannot escape a function
@@ -21,20 +15,15 @@ post-hoc budget flagging when it is False (the runner's
 
 from __future__ import annotations
 
-import multiprocessing
 import signal
 import threading
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 
 class WatchdogTimeout(Exception):
     """A watched computation exceeded its wall-clock budget."""
-
-
-class WorkerCrash(RuntimeError):
-    """A pool worker died or raised; the message carries its traceback."""
 
 
 # The SIGALRM handler only raises while this flag is armed (see module
@@ -111,125 +100,3 @@ def scatter(
                     yield index, future.result(), None
                 except Exception:
                     yield index, None, traceback.format_exc(limit=5)
-
-
-def _worker_loop(handler: Callable[[Any], Any], conn) -> None:
-    """Forked worker body: serve requests until the ``None`` sentinel.
-
-    Each reply is ``(ok, payload)``; a handler exception is caught and
-    shipped back as a formatted traceback so the coordinator can re-raise
-    with context instead of deadlocking on a dead pipe.
-    """
-    try:
-        while True:
-            request = conn.recv()
-            if request is None:
-                break
-            try:
-                conn.send((True, handler(request)))
-            except Exception:
-                conn.send((False, traceback.format_exc(limit=20)))
-    except (EOFError, KeyboardInterrupt):  # pragma: no cover - parent died
-        pass
-    finally:
-        conn.close()
-
-
-class ShardWorkerPool:
-    """Persistent forked workers, one per shard, speaking over pipes.
-
-    Built with one handler callable per worker; with the ``fork`` start
-    method the handlers (and anything they close over -- shard CSRs,
-    shared-memory views) are inherited copy-on-write, so nothing large is
-    ever pickled.  Requests and replies go through ``Pipe`` pairs;
-    :meth:`submit` is asynchronous and :meth:`result` blocks, so a
-    coordinator can fan a round out to every worker before collecting in
-    deterministic shard order.
-    """
-
-    #: Seconds :meth:`result` waits before declaring a worker hung.
-    RESULT_TIMEOUT_S = 600.0
-
-    def __init__(self, handlers: Sequence[Callable[[Any], Any]]):
-        """Fork one worker per handler (requires :meth:`available`)."""
-        ctx = multiprocessing.get_context("fork")
-        self._procs = []
-        self._conns = []
-        for handler in handlers:
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_worker_loop, args=(handler, child_conn), daemon=True
-            )
-            proc.start()
-            child_conn.close()
-            self._procs.append(proc)
-            self._conns.append(parent_conn)
-
-    @staticmethod
-    def available() -> bool:
-        """Whether the ``fork`` start method exists on this platform."""
-        return "fork" in multiprocessing.get_all_start_methods()
-
-    @property
-    def size(self) -> int:
-        """Number of workers."""
-        return len(self._procs)
-
-    def submit(self, worker: int, request: Any) -> None:
-        """Send ``request`` to ``worker`` without waiting for its reply."""
-        try:
-            self._conns[worker].send(request)
-        except (BrokenPipeError, OSError) as exc:
-            raise WorkerCrash(f"shard worker {worker} is gone: {exc}") from exc
-
-    def result(self, worker: int) -> Any:
-        """Collect one reply from ``worker`` (blocking, bounded wait).
-
-        Raises :class:`WorkerCrash` if the worker died, hung past
-        ``RESULT_TIMEOUT_S``, or shipped back a handler traceback.
-        """
-        conn = self._conns[worker]
-        try:
-            if not conn.poll(self.RESULT_TIMEOUT_S):
-                raise WorkerCrash(
-                    f"shard worker {worker} produced no reply within "
-                    f"{self.RESULT_TIMEOUT_S:g}s"
-                )
-            ok, payload = conn.recv()
-        except (EOFError, OSError) as exc:
-            raise WorkerCrash(f"shard worker {worker} died: {exc}") from exc
-        if not ok:
-            raise WorkerCrash(
-                f"shard worker {worker} raised:\n{payload}"
-            )
-        return payload
-
-    def map(self, requests: Iterable[Any]) -> list[Any]:
-        """Fan one request per worker out, collect replies in worker order."""
-        requests = list(requests)
-        for i, request in enumerate(requests):
-            self.submit(i, request)
-        return [self.result(i) for i in range(len(requests))]
-
-    def close(self) -> None:
-        """Shut every worker down (sentinel, join, terminate stragglers)."""
-        for conn in self._conns:
-            try:
-                conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-                proc.join(timeout=5.0)
-        for conn in self._conns:
-            conn.close()
-        self._procs = []
-        self._conns = []
-
-    def __del__(self):  # pragma: no cover - GC-time safety net
-        try:
-            self.close()
-        except Exception:
-            pass

@@ -612,3 +612,57 @@ class TestStreamCells:
         header = csv_path.read_text().splitlines()[0]
         assert "recolor_fraction_mean" in header
         assert "stream_wall_time_s" in header
+
+
+class TestLegacyArtifact:
+    """Artifacts written while sweeps could shard kernels (header keys
+    ``backend``/``shards``, per-cell ``boundary_*``/``backend_*`` metrics)
+    stay readable under schema v1 and gate against today's artifacts."""
+
+    def _pair(self, tmp_path):
+        current, records = run_sweep(
+            TINY, jobs=1, timeout_s=0, out_path=tmp_path / "current.jsonl"
+        )
+        legacy_records = json.loads(json.dumps(records))
+        for record in legacy_records:
+            record["metrics"].update(
+                backend="sharded",
+                backend_mode="inline",
+                backend_shards=2,
+                boundary_bits=4096,
+                boundary_exchanges=7,
+            )
+        header = make_header(
+            TINY.name, TINY.spec_hash(), extra={"backend": "sharded", "shards": 2}
+        )
+        legacy = write_artifact(tmp_path / "legacy.jsonl", header, legacy_records)
+        return legacy, current, legacy_records
+
+    def test_legacy_artifact_loads_and_compares_clean(self, tmp_path, capsys):
+        from repro.cli import main
+
+        legacy, current, _ = self._pair(tmp_path)
+        artifact = read_artifact(legacy)
+        assert artifact.header["shards"] == 2
+        assert len(artifact.ok_records()) == len(TINY.cells())
+        for base, cand in ((legacy, current), (current, legacy)):
+            assert main(["compare", str(base), str(cand)]) == 0
+            assert "0 metric regressions" in capsys.readouterr().out
+
+    def test_legacy_baseline_still_gates(self, tmp_path, capsys):
+        from repro.cli import main
+
+        legacy, current, legacy_records = self._pair(tmp_path)
+        legacy_records[0]["metrics"]["rounds_h"] //= 10
+        write_artifact(legacy, read_artifact(legacy).header, legacy_records)
+        assert main(["compare", str(legacy), str(current)]) == 1
+        assert "REGRESSION" in capsys.readouterr().out
+
+    def test_cells_reads_legacy_artifact(self, tmp_path, capsys):
+        from repro.cli import main
+
+        legacy, _, _ = self._pair(tmp_path)
+        assert main(["cells", str(legacy)]) == 0
+        out = capsys.readouterr().out
+        assert f"({len(TINY.cells())} cells" in out
+        assert "figure1()" in out

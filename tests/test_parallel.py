@@ -1,15 +1,9 @@
-"""The execution-backend contract (docs/PARALLEL.md) and its machinery.
+"""The serial kernel entry point and the shared pool/watchdog machinery.
 
-Three layers under test:
-
-* :func:`repro.graphcore.shard_csr` -- the deterministic partitioner
-  (exact cover, halo completeness, stable merge order), via hypothesis;
-* the backends -- :class:`SerialBackend` bitwise against the default
-  path (pinned digests), :class:`ShardedBackend` value-identical to
-  serial for every shard count and mode, with real boundary traffic
-  surfacing in the exchange summary and ``shard.exchange`` spans;
-* the shared pool (:mod:`repro.parallel.pool`) -- scatter, the persistent
-  shard workers, and crash discipline.
+* :data:`repro.parallel.backend.SERIAL_BACKEND` -- the default path
+  reproduces the pinned seed-0 colorings bit for bit;
+* :mod:`repro.parallel.pool` -- :func:`scatter` (cell-level parallelism
+  in the experiment runner) and the SIGALRM watchdog.
 """
 
 import hashlib
@@ -18,120 +12,16 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro import color_cluster_graph
-from repro.cluster import ClusterGraph
-from repro.dynamic import run_stream
-from repro.experiments.runner import run_cell
-from repro.experiments.spec import Cell
-from repro.graphcore import csr_of, gather_neighborhoods, shard_csr
-from repro.network import CommGraph
-from repro.observe.tracer import Tracer
-from repro.parallel import (
-    SerialBackend,
-    ShardedBackend,
-    ShardWorkerPool,
-    WatchdogTimeout,
-    WorkerCrash,
-    alarm_available,
-    make_backend,
-    scatter,
-)
-from repro.parallel.backend import SERIAL_BACKEND
+from repro.parallel import WatchdogTimeout, alarm_available, scatter
 from repro.parallel.pool import arm_alarm, disarm_alarm
 from repro.workloads import GENERATORS
 
-# ---- partitioner properties -------------------------------------------------
-
-
-def random_csr(seed: int, n: int, density: float):
-    rng = np.random.default_rng(seed)
-    m = int(density * n * (n - 1) / 2)
-    if m:
-        pairs = rng.integers(0, n, size=(m, 2))
-        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-    else:
-        pairs = np.empty((0, 2), dtype=np.int64)
-    return csr_of(ClusterGraph.identity(CommGraph(n, pairs)))
-
-
-shard_params = {
-    "seed": st.integers(0, 2**31 - 1),
-    "n": st.integers(1, 60),
-    "density": st.floats(0.0, 1.0),
-    "k": st.integers(1, 9),
-}
-
-
-class TestShardCSR:
-    @given(**shard_params)
-    @settings(max_examples=60)
-    def test_exact_cover(self, seed, n, density, k):
-        """Owned ranges are contiguous, disjoint, and cover [0, n)."""
-        plan = shard_csr(random_csr(seed, n, density), k)
-        assert plan.n_vertices == n
-        assert plan.bounds[0] == 0 and plan.bounds[-1] == n
-        assert (np.diff(plan.bounds) >= 1).all()  # no empty shard
-        covered = np.concatenate(
-            [np.arange(s.lo, s.hi) for s in plan.shards]
-        )
-        assert np.array_equal(covered, np.arange(n))
-        owners = plan.owner_of(np.arange(n, dtype=np.int64))
-        for s in plan.shards:
-            assert (owners[s.lo : s.hi] == s.index).all()
-
-    @given(**shard_params)
-    @settings(max_examples=60)
-    def test_halo_rows_reproduce_full_neighborhoods(self, seed, n, density, k):
-        """Every owned row, read through local_to_global, is exactly the
-        full-CSR neighborhood -- the property that makes per-shard kernel
-        evaluation value-identical."""
-        csr = random_csr(seed, n, density)
-        plan = shard_csr(csr, k)
-        for shard in plan.shards:
-            verts_local = np.arange(shard.n_owned, dtype=np.int64)
-            seg_ids, flat_local = gather_neighborhoods(shard.csr, verts_local)
-            flat_global = shard.local_to_global[flat_local]
-            full_seg, full_flat = gather_neighborhoods(
-                csr, np.arange(shard.lo, shard.hi, dtype=np.int64)
-            )
-            assert np.array_equal(seg_ids, full_seg)
-            assert np.array_equal(flat_global, full_flat)
-            # halo is sorted, unique, and disjoint from the owned range
-            assert np.array_equal(shard.halo, np.unique(shard.halo))
-            assert not (
-                (shard.halo >= shard.lo) & (shard.halo < shard.hi)
-            ).any()
-
-    @given(**shard_params)
-    @settings(max_examples=30)
-    def test_deterministic(self, seed, n, density, k):
-        """Identical input produces an identical plan (stable merge order)."""
-        csr = random_csr(seed, n, density)
-        a, b = shard_csr(csr, k), shard_csr(csr, k)
-        assert np.array_equal(a.bounds, b.bounds)
-        for sa, sb in zip(a.shards, b.shards):
-            assert np.array_equal(sa.halo, sb.halo)
-            assert np.array_equal(sa.local_to_global, sb.local_to_global)
-
-    def test_to_local_rejects_foreign_vertices(self):
-        csr = random_csr(0, 20, 0.3)
-        plan = shard_csr(csr, 4)
-        shard = plan.shards[0]
-        outside = np.setdiff1d(
-            np.arange(20), np.concatenate([np.arange(shard.lo, shard.hi), shard.halo])
-        )
-        if outside.size:
-            with pytest.raises(ValueError):
-                shard.to_local(outside[:1])
-
-
-# ---- backend value identity -------------------------------------------------
+# ---- pinned serial colorings ------------------------------------------------
 
 #: Pinned colorings (sha256 of the colors buffer, first 16 hex chars) for
-#: seed-0 runs: the SerialBackend bitwise gate AND the target every
-#: ShardedBackend configuration must reproduce exactly.
+#: seed-0 runs on the default path.
 PINNED = {
     "figure1": "7b0a91667ad8d58a",
     "low_degree": "04d969a44989e875",  # shattering regime
@@ -147,161 +37,11 @@ class TestBackendIdentity:
     @pytest.mark.parametrize("workload", sorted(PINNED))
     def test_serial_backend_is_bitwise_default(self, workload):
         w = GENERATORS[workload](np.random.default_rng(0))
-        default = color_cluster_graph(w.graph, seed=0)
-        explicit = color_cluster_graph(w.graph, seed=0, backend=SerialBackend())
-        assert _digest(default.colors) == PINNED[workload]
-        assert np.array_equal(default.colors, explicit.colors)
-        assert default.ledger_summary == explicit.ledger_summary
-        assert explicit.backend_summary is None
-
-    @pytest.mark.parametrize("workload", sorted(PINNED))
-    @pytest.mark.parametrize("k", [1, 2, 4])
-    def test_sharded_matches_pinned_serial(self, workload, k):
-        """Cross-regime value identity: same colors (hence same color
-        count), same rounds, same simulated bits, for every shard count."""
-        w = GENERATORS[workload](np.random.default_rng(0))
-        backend = ShardedBackend(shards=k, mode="inline")
-        result = color_cluster_graph(w.graph, seed=0, backend=backend)
-        try:
-            assert _digest(result.colors) == PINNED[workload]
-            assert result.proper
-            summary = result.backend_summary
-            assert summary["shards"] == k
-            assert summary["exchanges"] > 0
-            if k == 1:
-                assert summary["total_message_bits"] == 0
-            else:
-                assert summary["total_message_bits"] > 0
-        finally:
-            backend.close()
-
-    @pytest.mark.skipif(
-        not ShardWorkerPool.available(), reason="fork start method unavailable"
-    )
-    def test_fork_mode_matches_inline(self):
-        w = GENERATORS["low_degree"](np.random.default_rng(0))
-        fork = ShardedBackend(shards=3, mode="fork")
-        try:
-            result = color_cluster_graph(w.graph, seed=0, backend=fork)
-        finally:
-            fork.close()
-        assert _digest(result.colors) == PINNED["low_degree"]
-        assert result.backend_summary["mode"] == "fork"
-        assert result.backend_summary["total_message_bits"] > 0
-
-    def test_shards_kwarg_implies_sharded(self):
-        w = GENERATORS["figure1"](np.random.default_rng(0))
-        result = color_cluster_graph(w.graph, seed=0, shards=2)
-        assert _digest(result.colors) == PINNED["figure1"]
-        assert result.backend_summary["shards"] == 2
-
-    def test_traced_sharded_run_has_exchange_spans(self):
-        w = GENERATORS["low_degree"](np.random.default_rng(0))
-        tracer = Tracer()
-        backend = ShardedBackend(shards=2, mode="inline")
-        try:
-            result = color_cluster_graph(
-                w.graph, seed=0, backend=backend, tracer=tracer
-            )
-        finally:
-            backend.close()
-        assert _digest(result.colors) == PINNED["low_degree"]
-        spans = [
-            s
-            for top in tracer.spans
-            for s in top.walk()
-            if s.name == "shard.exchange"
-        ]
-        assert spans, "sharded traced run must contain shard.exchange spans"
-        traced_bits = sum(s.counters.get("boundary_bits", 0) for s in spans)
-        assert traced_bits == result.backend_summary["total_message_bits"]
-        # nested exchange spans charge nothing to the simulation ledger
-        assert all(s.rounds_h == 0 and s.message_bits == 0 for s in spans)
-
-    def test_stream_engine_backend_identity(self):
-        maker = GENERATORS["sliding_window"]
-        serial = run_stream(maker(np.random.default_rng(0)), seed=0)[2]
-        sharded = run_stream(
-            maker(np.random.default_rng(0)), seed=0, backend="sharded", shards=2
-        )[2]
-        for key in ("rounds_h", "total_message_bits", "colors_used", "proper"):
-            assert serial[key] == sharded[key]
-        assert "boundary_bits" not in serial
-        assert sharded["boundary_bits"] > 0
-        assert sharded["backend_shards"] == 2
-
-
-# ---- make_backend resolution ------------------------------------------------
-
-
-class TestMakeBackend:
-    def test_defaults_to_serial_singleton(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert make_backend(None) is SERIAL_BACKEND
-        assert make_backend("serial") is SERIAL_BACKEND
-
-    def test_instance_passthrough(self):
-        backend = ShardedBackend(shards=2, mode="inline")
-        assert make_backend(backend) is backend
-        backend.close()
-
-    def test_spec_with_embedded_shards(self):
-        backend = make_backend("sharded:5", mode="inline")
-        assert isinstance(backend, ShardedBackend)
-        assert backend.shards == 5
-        backend.close()
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "sharded")
-        monkeypatch.setenv("REPRO_SHARDS", "3")
-        backend = make_backend(None, mode="inline")
-        assert isinstance(backend, ShardedBackend)
-        assert backend.shards == 3
-        backend.close()
-
-    def test_unknown_spec_raises(self):
-        with pytest.raises(ValueError):
-            make_backend("threads")
-
-    def test_bad_shard_count_raises(self):
-        with pytest.raises(ValueError):
-            ShardedBackend(shards=0)
-
-
-# ---- runner integration -----------------------------------------------------
-
-
-def _tiny_cell() -> Cell:
-    return Cell(
-        suite="test",
-        workload="figure1",
-        workload_kwargs=(),
-        params="scaled",
-        regime="auto",
-        algorithm="paper",
-        seed=0,
-        instance_seed=0,
-    )
-
-
-class TestRunnerBackend:
-    def test_run_cell_sharded_adds_boundary_metrics(self):
-        serial = run_cell(_tiny_cell().to_dict(), 0)
-        sharded = run_cell(_tiny_cell().to_dict(), 0, False, "sharded", 2)
-        assert sharded["status"] == "ok"
-        for key in ("rounds_h", "total_message_bits", "colors_used"):
-            assert serial["metrics"][key] == sharded["metrics"][key]
-        assert "boundary_bits" not in serial["metrics"]
-        assert sharded["metrics"]["backend"] == "sharded"
-        assert sharded["metrics"]["boundary_exchanges"] > 0
-
-    def test_env_backend_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "sharded")
-        monkeypatch.setenv("REPRO_SHARDS", "2")
-        record = run_cell(_tiny_cell().to_dict(), 0)
-        assert record["status"] == "ok"
-        assert record["metrics"]["backend"] == "sharded"
-        assert record["metrics"]["backend_shards"] == 2
+        first = color_cluster_graph(w.graph, seed=0)
+        again = color_cluster_graph(w.graph, seed=0)
+        assert _digest(first.colors) == PINNED[workload]
+        assert first.proper
+        assert first.ledger_summary == again.ledger_summary
 
 
 # ---- pool machinery ---------------------------------------------------------
@@ -331,39 +71,6 @@ class TestScatter:
         index, result, error = triples[0]
         assert index == 0 and result is None
         assert "boom 1" in error
-
-
-@pytest.mark.skipif(
-    not ShardWorkerPool.available(), reason="fork start method unavailable"
-)
-class TestShardWorkerPool:
-    def test_map_preserves_worker_order(self):
-        pool = ShardWorkerPool([
-            (lambda r, i=i: (i, r * 10)) for i in range(3)
-        ])
-        try:
-            assert pool.map([1, 2, 3]) == [(0, 10), (1, 20), (2, 30)]
-            assert pool.size == 3
-        finally:
-            pool.close()
-
-    def test_handler_exception_surfaces_as_worker_crash(self):
-        def bad(_request):
-            raise ValueError("shard handler exploded")
-
-        pool = ShardWorkerPool([bad])
-        try:
-            pool.submit(0, "req")
-            with pytest.raises(WorkerCrash, match="shard handler exploded"):
-                pool.result(0)
-        finally:
-            pool.close()
-
-    def test_close_is_idempotent(self):
-        pool = ShardWorkerPool([lambda r: r])
-        pool.close()
-        pool.close()
-        assert pool.size == 0
 
 
 class TestWatchdog:

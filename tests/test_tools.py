@@ -11,7 +11,8 @@ sys.path.insert(0, str(REPO / "tools"))
 
 import check_hetnet_makespan  # noqa: E402
 import lint_docstrings  # noqa: E402
-import print_cell_times  # noqa: E402
+
+from repro.observe import cells  # noqa: E402
 
 
 class TestLintDocstrings:
@@ -64,24 +65,11 @@ class TestPrintCellTimes:
 
     def test_prints_slowest_first_with_total(self, tmp_path, capsys):
         path = self._artifact(tmp_path)
-        assert print_cell_times.main([str(path)]) == 0
+        assert cells.main([str(path)]) == 0
         out = capsys.readouterr().out
         assert "scale_smoke" in out
         assert "1.25s" in out and "high_degree(n_vertices=600)" in out
         assert "[error]" in out and "regime=polylog" in out
-
-    def test_missing_artifact_is_an_error(self, tmp_path):
-        assert print_cell_times.main([str(tmp_path / "nope.jsonl")]) == 2
-
-    def test_shim_reexports_observe_cells(self):
-        """The script is now a shim over repro.observe.cells; the CI
-        invocation and the `repro cells` command must share one
-        implementation."""
-        from repro.observe import cells
-
-        assert print_cell_times.main is cells.main
-        assert print_cell_times.print_timings is cells.print_timings
-        assert print_cell_times.cell_label is cells.cell_label
 
 
 class TestCheckHetnetMakespan:
