@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.aggregation import ClusterRuntime
 from repro.experiments import artifacts
-from repro.metrics import ExperimentRecord
+from repro.observe import ExperimentRecord
 from repro.params import scaled
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro import color_cluster_graph
-from repro.metrics import ExperimentRecord
+from repro.observe import ExperimentRecord
 from repro.params import scaled
 from repro.sketch import direct_count_fingerprint
 from repro.workloads import cabal_instance, planted_acd_instance

@@ -13,7 +13,7 @@ from repro.cluster import blowup
 from repro.coloring.clique_palette import palette_view
 from repro.coloring.synchronized_trial import SctPlan, synchronized_color_trial
 from repro.coloring.types import PartialColoring
-from repro.metrics import ExperimentRecord
+from repro.observe import ExperimentRecord
 from repro.params import scaled
 
 from _harness import emit, make_runtime

@@ -12,7 +12,7 @@ workload families are the suite's cells, and the cap is the
 
 import pytest
 
-from repro.metrics import ExperimentRecord
+from repro.observe import ExperimentRecord
 
 from _harness import emit, run_suite_cells
 

@@ -11,7 +11,7 @@ import pytest
 
 from repro import color_cluster_graph
 from repro.cluster import blowup
-from repro.metrics import ExperimentRecord
+from repro.observe import ExperimentRecord
 
 from _harness import emit
 

@@ -21,7 +21,7 @@ from repro.baselines import (
     luby_coloring,
     palette_sparsification_coloring,
 )
-from repro.metrics import ExperimentRecord
+from repro.observe import ExperimentRecord
 from repro.workloads import high_degree_instance
 
 from _harness import emit

@@ -12,7 +12,7 @@ import pytest
 
 from repro import color_cluster_graph
 from repro.cluster import distance2_virtual_graph, power_graph_degree_bound
-from repro.metrics import ExperimentRecord
+from repro.observe import ExperimentRecord
 from repro.network import CommGraph
 
 from _harness import emit

@@ -13,7 +13,7 @@ workload x regime cross product is the suite's grid.
 
 import pytest
 
-from repro.metrics import ExperimentRecord
+from repro.observe import ExperimentRecord
 
 from _harness import emit, run_suite_cells
 

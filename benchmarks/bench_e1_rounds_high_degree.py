@@ -15,7 +15,7 @@ import math
 import pytest
 
 from repro import log_star
-from repro.metrics import ExperimentRecord
+from repro.observe import ExperimentRecord
 
 from _harness import emit, run_suite_cells
 

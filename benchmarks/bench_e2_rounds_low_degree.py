@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro import color_cluster_graph
-from repro.metrics import ExperimentRecord
+from repro.observe import ExperimentRecord
 from repro.workloads import low_degree_instance
 
 from _harness import emit

@@ -9,7 +9,7 @@ five orders of magnitude of d; the empirical failure rate at a given
 import numpy as np
 import pytest
 
-from repro.metrics import ExperimentRecord
+from repro.observe import ExperimentRecord
 from repro.sketch import direct_count_fingerprint, failure_probability_bound
 
 from _harness import emit

@@ -8,7 +8,7 @@ per-value encoding once t is moderate.
 import numpy as np
 import pytest
 
-from repro.metrics import ExperimentRecord
+from repro.observe import ExperimentRecord
 from repro.sketch import encoded_size_bits, sample_max_of_geometrics
 
 from _harness import emit

@@ -8,7 +8,7 @@ These two facts are what turn fingerprints into an anti-edge sampler
 import numpy as np
 import pytest
 
-from repro.metrics import ExperimentRecord
+from repro.observe import ExperimentRecord
 from repro.sketch import argmax_with_uniqueness, non_unique_max_bound, sample_geometric
 
 from _harness import emit

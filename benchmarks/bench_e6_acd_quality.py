@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.decomposition import annotate_with_cabals, compute_acd, exact_acd_reference
-from repro.metrics import ExperimentRecord
+from repro.observe import ExperimentRecord
 from repro.params import scaled
 from repro.verify import check_acd
 from repro.workloads import planted_acd_instance

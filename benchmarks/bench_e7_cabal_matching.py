@@ -15,7 +15,7 @@ from repro.coloring.fingerprint_matching import (
 )
 from repro.coloring.types import PartialColoring
 from repro.decomposition import annotate_with_cabals, compute_acd
-from repro.metrics import ExperimentRecord
+from repro.observe import ExperimentRecord
 from repro.workloads import cabal_instance
 from _harness import emit, make_runtime
 

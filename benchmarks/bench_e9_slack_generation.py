@@ -13,7 +13,7 @@ import pytest
 from repro.coloring.slack import slack_generation
 from repro.coloring.types import PartialColoring
 from repro.decomposition import annotate_with_cabals, compute_acd
-from repro.metrics import ExperimentRecord
+from repro.observe import ExperimentRecord
 from repro.workloads import planted_acd_instance
 
 from _harness import emit, make_runtime

@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from repro import color_cluster_graph, log_star
-from repro.metrics import format_table
+from repro.observe import format_table
 from repro.workloads import high_degree_instance
 
 rows = []

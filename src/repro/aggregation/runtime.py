@@ -17,12 +17,12 @@ faithful per-machine execution for the core primitives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.network.ledger import BandwidthLedger
-from repro.observe.tracer import NULL_TRACER
+from repro.observe.instruments import NO_INSTRUMENTS, Instruments
 from repro.params import AlgorithmParameters, log2ceil
 
 
@@ -41,25 +41,18 @@ class ClusterRuntime:
         The single source of randomness for the execution.
     ledger:
         Optional pre-built ledger (a fresh one is created otherwise).
-    tracer:
-        Optional :class:`~repro.observe.tracer.Tracer`; defaults to the
-        no-op :data:`~repro.observe.tracer.NULL_TRACER`.  The runtime binds
-        its ledger to the tracer so spans attribute this execution's
-        charges.  Tracing is bitwise-invisible: it reads snapshots only.
-    netmodel:
-        Optional :class:`~repro.network.hetnet.HetNetModel` attached to
-        the ledger before any charge: the execution then additionally
-        reports a simulated-clock makespan.  Read-only toward the
-        algorithm -- attaching one is bitwise-invisible to colorings,
-        counters, and the RNG stream (docs/NETWORK.md).
+    instruments:
+        Observers of the execution
+        (:class:`~repro.observe.instruments.Instruments`), attached to the
+        ledger before any charge.  Spans read the tracer via :attr:`tracer`.
     """
 
     graph: object
     params: AlgorithmParameters
     rng: np.random.Generator
     ledger: BandwidthLedger | None = None
-    tracer: object = None
-    netmodel: object = None
+    instruments: Instruments = NO_INSTRUMENTS
+    tracer: object = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.graph.n_machines
@@ -69,12 +62,8 @@ class ClusterRuntime:
                 bandwidth_bits=self.params.bandwidth_bits(n),
                 dilation=max(1, self.graph.dilation) * max(1, congestion),
             )
-        if self.netmodel is not None:
-            self.ledger.attach_netmodel(self.netmodel)
-        if self.tracer is None:
-            self.tracer = NULL_TRACER
-        else:
-            self.tracer.bind_ledger(self.ledger)
+        self.instruments.attach(self.ledger)
+        self.tracer = self.instruments.tracer
 
     # ---- convenience sizes ---------------------------------------------------
 

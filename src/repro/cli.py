@@ -53,7 +53,7 @@ import sys
 import numpy as np
 
 from repro import color_cluster_graph
-from repro.metrics import format_table
+from repro.observe.records import format_table
 from repro.params import paper, scaled
 from repro.workloads import GENERATORS, STREAMS
 
@@ -342,35 +342,32 @@ def _cmd_sweep(args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_trace(args) -> int:
-    """Run one workload under an enabled tracer; print the stage table."""
-    from repro.observe import Tracer, aggregate_stage_rows, stage_rows
-
-    maker = GENERATORS[args.workload]
-    w = maker(np.random.default_rng(args.instance_seed))
+def _run_observed(args, w, instruments) -> tuple[bool, dict]:
+    """Run workload ``w`` once under ``instruments`` -- the stream engine
+    for streams, the static pipeline otherwise; ``(proper, ledger summary)``."""
     params = paper() if args.params == "paper" else scaled()
-    tracer = Tracer()
     if args.workload in STREAMS:
         from repro.dynamic import run_stream
 
-        _engine, _result, metrics = run_stream(
-            w, params=params, seed=args.seed, mode=args.mode, tracer=tracer
+        engine, _result, metrics = run_stream(
+            w, params=params, seed=args.seed, mode=args.mode,
+            instruments=instruments,
         )
-        proper = bool(metrics["proper"])
-        ledger_rounds = metrics["rounds_h"]
-        ledger_bits = metrics["total_message_bits"]
-        # the bootstrap runs on its own runtime ledger (wall time only), so
-        # the span-sum invariant covers the batch spans alone
-        charged = lambda r: r["stage"] != "stream.bootstrap"  # noqa: E731
-    else:
-        result = color_cluster_graph(
-            w.graph, params=params, seed=args.seed, regime=args.regime,
-            tracer=tracer,
-        )
-        proper = bool(result.proper)
-        ledger_rounds = result.rounds_h
-        ledger_bits = result.ledger_summary["total_message_bits"]
-        charged = lambda r: True  # noqa: E731
+        return bool(metrics["proper"]), engine.ledger.summary()
+    result = color_cluster_graph(
+        w.graph, params=params, seed=args.seed, regime=args.regime,
+        instruments=instruments,
+    )
+    return bool(result.proper), result.ledger_summary
+
+
+def _cmd_trace(args) -> int:
+    """Run one workload under an enabled tracer; print the stage table."""
+    from repro.observe import Instruments, Tracer, aggregate_stage_rows, stage_rows
+
+    w = GENERATORS[args.workload](np.random.default_rng(args.instance_seed))
+    tracer = Tracer()
+    proper, ledger = _run_observed(args, w, Instruments(tracer=tracer))
     if args.json:
         print(json.dumps(tracer.to_dict(), indent=2))
         return 0 if proper else 1
@@ -395,8 +392,13 @@ def _cmd_trace(args) -> int:
             for r in rows
         ]
     ))
-    sum_rounds = sum(r["rounds_h"] for r in rows if charged(r))
-    sum_bits = sum(r["bits"] for r in rows if charged(r))
+    # a stream's bootstrap runs on its own runtime ledger (wall time only),
+    # so the span-sum invariant covers the other spans alone
+    charged = [r for r in rows if r["stage"] != "stream.bootstrap"]
+    sum_rounds = sum(r["rounds_h"] for r in charged)
+    sum_bits = sum(r["bits"] for r in charged)
+    ledger_rounds = ledger["rounds_h"]
+    ledger_bits = ledger["total_message_bits"]
     matches = sum_rounds == ledger_rounds and sum_bits == ledger_bits
     print(
         f"stage sums: rounds_h={sum_rounds} bits={sum_bits}  "
@@ -409,34 +411,19 @@ def _cmd_trace(args) -> int:
 def _cmd_netsim(args) -> int:
     """Run one workload on a sampled heterogeneous fabric; print the
     simulated-clock makespan with per-stage and per-link attribution."""
-    from repro.observe import Tracer, aggregate_stage_rows, stage_rows
+    from repro.observe import Instruments, Tracer, aggregate_stage_rows, stage_rows
 
-    maker = GENERATORS[args.workload]
-    w = maker(
+    w = GENERATORS[args.workload](
         np.random.default_rng(args.instance_seed),
         net_skew=args.skew,
         net_fill=args.fill,
     )
-    model = w.netmodel
-    params = paper() if args.params == "paper" else scaled()
     tracer = Tracer()
-    if args.workload in STREAMS:
-        from repro.dynamic import run_stream
-
-        _engine, _result, metrics = run_stream(
-            w, params=params, seed=args.seed, mode=args.mode, tracer=tracer
-        )
-        proper = bool(metrics["proper"])
-        makespan = metrics["makespan_ms"]
-        rounds = metrics["rounds_h"]
-    else:
-        result = color_cluster_graph(
-            w.graph, params=params, seed=args.seed, regime=args.regime,
-            tracer=tracer, netmodel=model,
-        )
-        proper = bool(result.proper)
-        makespan = result.ledger_summary["makespan_ms"]
-        rounds = result.rounds_h
+    instruments = Instruments(tracer=tracer).with_workload(w)
+    model = instruments.netmodel
+    proper, ledger = _run_observed(args, w, instruments)
+    makespan = ledger["makespan_ms"]
+    rounds = ledger["rounds_h"]
     rows = aggregate_stage_rows(stage_rows(tracer))
     rows.sort(key=lambda r: r["makespan_ms"], reverse=True)
     critical_stage = rows[0]["stage"] if rows else "(none)"

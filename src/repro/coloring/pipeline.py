@@ -32,6 +32,7 @@ from repro.coloring.try_color import (
 from repro.coloring.types import PartialColoring
 from repro.decomposition.acd import compute_acd
 from repro.decomposition.cabals import annotate_with_cabals
+from repro.observe.instruments import NO_INSTRUMENTS, Instruments
 from repro.params import AlgorithmParameters, scaled
 from repro.verify.checker import is_proper
 
@@ -99,8 +100,7 @@ def color_cluster_graph(
     rng: np.random.Generator | None = None,
     regime: str = "auto",
     verify: bool = True,
-    tracer=None,
-    netmodel=None,
+    instruments: Instruments = NO_INSTRUMENTS,
 ) -> ColoringResult:
     """(Δ+1)-color a cluster (or virtual) graph.
 
@@ -118,25 +118,18 @@ def color_cluster_graph(
         ``"low_degree"``.
     verify:
         Check properness before returning (ground-truth validation).
-    tracer:
-        Optional :class:`~repro.observe.tracer.Tracer`.  Each pipeline
-        stage runs inside a top-level span (named exactly like its
-        ``stats.stage_rounds`` key), so the spans partition the run: their
-        wall/round/bit sums reproduce the ledger totals.  Tracing never
-        touches the RNG or the ledger -- traced runs are bitwise-identical
-        to untraced ones.
-    netmodel:
-        Optional :class:`~repro.network.hetnet.HetNetModel`: converts the
-        ledger's round charges into a simulated-clock makespan
-        (``ledger_summary["makespan_ms"]``).  Bitwise-invisible to the
-        coloring, counters, and RNG stream -- same contract as ``tracer``.
+    instruments:
+        Observers of the run (:class:`~repro.observe.instruments.Instruments`).
+        Each pipeline stage runs inside a top-level tracer span named
+        exactly like its ``stats.stage_rounds`` key, so the spans partition
+        the run; a network model adds ``ledger_summary["makespan_ms"]``.
 
     Returns a :class:`~repro.coloring.stats.ColoringResult`.
     """
     params = params or scaled()
     rng = rng if rng is not None else np.random.default_rng(seed)
     runtime = ClusterRuntime(
-        graph=graph, params=params, rng=rng, tracer=tracer, netmodel=netmodel
+        graph=graph, params=params, rng=rng, instruments=instruments
     )
     tracer = runtime.tracer
     ledger = runtime.ledger

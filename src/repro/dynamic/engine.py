@@ -41,7 +41,7 @@ from repro.dynamic.delta import DeltaCSR
 from repro.dynamic.updates import Update, UpdateBatch
 from repro.dynamic.view import FrozenConflictGraph
 from repro.network.ledger import BandwidthLedger
-from repro.observe.tracer import NULL_TRACER
+from repro.observe.instruments import NO_INSTRUMENTS, Instruments
 from repro.params import AlgorithmParameters, log2ceil, scaled
 
 
@@ -149,27 +149,17 @@ class DynamicColoring:
     verify_each_batch:
         Run the vectorized properness checker after every batch and raise
         :class:`RepairError` on a miss (ground truth, not charged).
-    tracer:
-        Optional :class:`~repro.observe.tracer.Tracer`; the engine binds
-        its stream ledger to it and wraps the bootstrap coloring plus every
+    instruments:
+        Observers of the stream
+        (:class:`~repro.observe.instruments.Instruments`), attached to the
+        stream ledger.  The tracer wraps the bootstrap coloring and every
         :meth:`apply` call in a span (``stream.bootstrap``,
-        ``stream.batch[batch=i]``).  Tracing reads snapshots only -- traced
-        streams are bitwise-identical to untraced ones.
-    metrics:
-        Optional :class:`~repro.observe.metrics.MetricsRegistry`; when
-        bound, every applied batch feeds the live ``stream.*`` instruments
-        (repair-latency histogram, frontier sizes, recolor fractions,
-        escalation/violation counters, palette and liveness gauges).  The
-        registry is fed from the finished :class:`BatchReport` only --
-        values already measured -- so an instrumented run is
-        bitwise-identical to a bare one (same contract as ``tracer``).
-    netmodel:
-        Optional :class:`~repro.network.hetnet.HetNetModel` attached to
-        the stream ledger and shared with every scratch-escalation
-        sub-run, so the stream's ``makespan_ms`` covers exactly the
-        rounds the stream ledger accounts (the bootstrap, whose rounds
-        are not stream rounds, stays outside the simulated clock too).
-        Bitwise-invisible, same contract as ``tracer``.
+        ``stream.batch[batch=i]``); the metrics registry is fed each
+        finished :class:`BatchReport`.  Sub-runs get less: the bootstrap
+        coloring runs bare (its rounds are not stream rounds, so its span
+        holds wall time only), and scratch escalations share only the
+        network model, so ``makespan_ms`` covers exactly the rounds the
+        stream ledger accounts.
     """
 
     def __init__(
@@ -184,20 +174,17 @@ class DynamicColoring:
         escalate_fraction: float = 0.5,
         rebuild_fraction: float = 0.25,
         verify_each_batch: bool = True,
-        tracer=None,
-        metrics=None,
-        netmodel=None,
+        instruments: Instruments = NO_INSTRUMENTS,
     ):
         if mode not in ("repair", "scratch"):
             raise ValueError(f"unknown mode {mode!r}")
         self.params = params or scaled()
         self.rng = rng if rng is not None else np.random.default_rng(seed)
         self.mode = mode
-        self.metrics = metrics
-        self.netmodel = netmodel
+        self.instruments = instruments
+        self.tracer = instruments.tracer
         self.escalate_fraction = escalate_fraction
         self.verify_each_batch = verify_each_batch
-        self.tracer = tracer if tracer is not None else NULL_TRACER
         # initial graph, kept for reporting static cell fields (sizes,
         # Delta, dilation at bootstrap); live topology is self.delta
         self.graph = graph
@@ -213,12 +200,7 @@ class DynamicColoring:
             bandwidth_bits=self.params.bandwidth_bits(max(2, graph.n_machines)),
             dilation=max(1, graph.dilation),
         )
-        if netmodel is not None:
-            # the stream ledger and every pipeline sub-run (bootstrap,
-            # scratch escalations) share ONE model: per-element times
-            # accumulate across them while absorb() folds the scalar
-            self.ledger.attach_netmodel(netmodel)
-        self.tracer.bind_ledger(self.ledger)
+        self.instruments.attach(self.ledger)
         self.num_colors = self.delta.max_degree + 1
         if colors is None:
             from repro import color_cluster_graph
@@ -361,18 +343,14 @@ class DynamicColoring:
         if report.compacted:
             span.counter("compactions", 1)
         self.reports.append(report)
-        if self.metrics is not None:
+        if self.instruments.metrics is not None:
             self._observe_batch(report)
         return report
 
     def _observe_batch(self, report: BatchReport) -> None:
-        """Feed the bound registry from one finished report.
-
-        Reads the report and derived state only -- never the RNG, never
-        the ledger -- so instrumented streams stay bitwise-identical to
-        bare ones (asserted by ``tests/test_service.py``).
-        """
-        m = self.metrics
+        """Feed the bound registry from one finished report (the report
+        and derived state only -- never the RNG, never the ledger)."""
+        m = self.instruments.metrics
         m.counter("stream.batches").inc()
         m.counter("stream.updates").inc(sum(report.events.values()))
         m.counter("stream.repaired").inc(report.repaired)
@@ -578,7 +556,10 @@ class DynamicColoring:
             params=self.params,
             rng=self.rng,
             verify=False,
-            netmodel=self.netmodel,
+            # the stream ledger and its escalations share ONE network
+            # model: per-element times accumulate across them while
+            # absorb() folds the scalar
+            instruments=Instruments(netmodel=self.instruments.netmodel),
         )
         self.colors = np.asarray(result.colors, dtype=np.int64).copy()
         self.num_colors = result.num_colors

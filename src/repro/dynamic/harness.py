@@ -16,6 +16,7 @@ import time
 from typing import Any
 
 from repro.dynamic.engine import DynamicColoring, StreamResult
+from repro.observe.instruments import NO_INSTRUMENTS, Instruments
 from repro.params import AlgorithmParameters
 
 
@@ -94,13 +95,7 @@ def summarize_stream(
         "vertices_final": engine.n_alive,
         "delta_final": engine.max_degree,
     }
-    if "makespan_ms" in ledger:
-        # heterogeneous network model attached (repro.network.hetnet):
-        # simulated-clock totals ride along; absent otherwise so
-        # homogeneous stream artifacts stay byte-identical to pre-model ones
-        metrics["makespan_ms"] = ledger["makespan_ms"]
-        if getattr(engine, "netmodel", None) is not None:
-            metrics["critical_link"] = engine.netmodel.critical_element()[0]
+    metrics.update(engine.instruments.network_fields(ledger))
     metrics.update(latency_fields(wall_times, total_updates, result.wall_time_s))
     return metrics
 
@@ -112,8 +107,7 @@ def run_stream(
     seed: int = 0,
     mode: str = "repair",
     verify_each_batch: bool = True,
-    tracer=None,
-    metrics=None,
+    instruments: Instruments = NO_INSTRUMENTS,
 ) -> tuple[DynamicColoring, StreamResult, dict[str, Any]]:
     """Bootstrap, absorb every batch, and summarize.
 
@@ -125,15 +119,9 @@ def run_stream(
     the batch loop (``stream_wall_time_s``); the sweep runner separately
     records whole-cell wall time, which additionally includes workload
     generation and the bootstrap coloring (identical for both modes).
-    ``tracer`` (optional) is handed to the engine: the trace gains a
-    ``stream.bootstrap`` span plus one ``stream.batch`` span per batch.
-    ``metrics`` (a :class:`~repro.observe.metrics.MetricsRegistry`,
-    optional) binds a live registry to the engine; it is fed from
-    finished batch reports only, so passing one cannot change any
-    reported value.  A workload carrying a sampled heterogeneous network
-    model (``workload.netmodel``, see :mod:`repro.network.hetnet`) has it
-    attached to the engine automatically; the returned metrics then also
-    carry ``makespan_ms`` and ``critical_link``.
+    ``instruments`` go to the engine (see
+    :class:`~repro.dynamic.engine.DynamicColoring`); with a network model
+    the returned metrics also carry ``makespan_ms`` and ``critical_link``.
     """
     graph = workload.graph
     batches = getattr(workload, "batches", None)
@@ -153,9 +141,7 @@ def run_stream(
         seed=seed,
         mode=engine_mode,
         verify_each_batch=verify_each_batch,
-        tracer=tracer,
-        metrics=metrics,
-        netmodel=getattr(workload, "netmodel", None),
+        instruments=instruments,
     )
     bootstrap_s = time.perf_counter() - bootstrap_start
     result = engine.run(batches)

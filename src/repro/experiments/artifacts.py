@@ -11,7 +11,7 @@ An artifact file is one header line followed by one line per cell result:
 
 The header pins the schema version and the provenance (spec hash + git
 revision) so :mod:`repro.experiments.compare` can refuse to gate on
-incomparable files.  Legacy :class:`~repro.metrics.records.ExperimentRecord`
+incomparable files.  Legacy :class:`~repro.observe.records.ExperimentRecord`
 output is bridged through :func:`append_legacy_record` so the historical
 ``bench_e*`` scripts produce machine-readable records during the migration.
 """
@@ -283,7 +283,7 @@ def summarize(
 ) -> list[dict[str, Any]]:
     """Aggregate ok-cells into mean/p50/p95 rows per cell group.
 
-    Returns table-ready dict rows (see :func:`repro.metrics.format_table`);
+    Returns table-ready dict rows (see :func:`repro.observe.format_table`);
     failed cells are counted per group but excluded from the statistics.
     """
     groups: dict[tuple, dict[str, Any]] = {}

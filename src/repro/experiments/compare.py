@@ -230,7 +230,7 @@ def _label(record: dict[str, Any]) -> str:
 
 def render_report(report: ComparisonReport) -> str:
     """Human-readable comparison text (the ``repro compare`` output)."""
-    from repro.metrics import format_table
+    from repro.observe.records import format_table
 
     lines = [
         f"baseline rev {report.baseline_rev} vs candidate rev "

@@ -46,6 +46,7 @@ from repro.experiments.spec import (
     STREAM_ALGORITHMS,
 )
 from repro.serve import run_service
+from repro.observe.instruments import NO_INSTRUMENTS, Instruments
 from repro.observe.tracer import Tracer
 from repro.parallel.pool import (
     WatchdogTimeout,
@@ -101,13 +102,17 @@ TRACEABLE_ALGORITHMS = (
 )
 
 
-def _execute(cell: Cell, tracer: Tracer | None = None) -> dict[str, Any]:
+def _execute(
+    cell: Cell, instruments: Instruments = NO_INSTRUMENTS
+) -> dict[str, Any]:
     """Run one cell's algorithm and extract its metric dict.
 
-    ``tracer`` (optional, traceable algorithms only) records the stage
-    spans; passing one is bitwise-invisible to every metric.
+    ``instruments`` (traceable algorithms only) gain the workload's
+    network model, if it carries one; they add ``makespan_ms`` /
+    ``critical_link`` and change no other metric.
     """
     workload = _build_workload(cell)
+    instruments = instruments.with_workload(workload)
     graph = workload.graph
     params = _params(cell)
     metrics: dict[str, Any] = {
@@ -123,7 +128,7 @@ def _execute(cell: Cell, tracer: Tracer | None = None) -> dict[str, Any]:
             workload,
             params=params,
             seed=cell.seed,
-            tracer=tracer,
+            instruments=instruments,
         )
         metrics.update(service_metrics)
         if _service.engine is not None:
@@ -137,21 +142,19 @@ def _execute(cell: Cell, tracer: Tracer | None = None) -> dict[str, Any]:
             params=params,
             seed=cell.seed,
             mode="repair" if cell.algorithm == "dynamic" else "scratch",
-            tracer=tracer,
+            instruments=instruments,
         )
         metrics.update(stream_metrics)
         metrics["coloring_digest"] = coloring_digest(
             _engine.colors[_engine.delta.alive_mask]
         )
     elif cell.algorithm == "paper":
-        netmodel = getattr(workload, "netmodel", None)
         result = color_cluster_graph(
             graph,
             params=params,
             seed=cell.seed,
             regime=cell.regime,
-            tracer=tracer,
-            netmodel=netmodel,
+            instruments=instruments,
         )
         metrics.update(
             regime_effective=result.stats.regime,
@@ -165,10 +168,7 @@ def _execute(cell: Cell, tracer: Tracer | None = None) -> dict[str, Any]:
             retries=int(sum(result.stats.retries.values())),
             coloring_digest=coloring_digest(result.colors),
         )
-        if "makespan_ms" in result.ledger_summary:
-            # heterogeneous fabric attached: simulated-clock ride-alongs
-            metrics["makespan_ms"] = result.ledger_summary["makespan_ms"]
-            metrics["critical_link"] = netmodel.critical_element()[0]
+        metrics.update(instruments.network_fields(result.ledger_summary))
     else:
         comparators = {
             "luby": luby_coloring,
@@ -232,6 +232,7 @@ def _run_cell_timed(
 ) -> dict[str, Any]:
     cell = Cell.from_dict(cell_dict)
     tracer = Tracer() if trace and cell.algorithm in TRACEABLE_ALGORITHMS else None
+    instruments = NO_INSTRUMENTS if tracer is None else Instruments(tracer=tracer)
     record: dict[str, Any] = {
         "kind": "cell",
         "key": cell.key(),
@@ -257,7 +258,7 @@ def _run_cell_timed(
     try:
         if use_alarm:
             previous = arm_alarm(timeout_s)
-        metrics = _execute(cell, tracer)
+        metrics = _execute(cell, instruments)
         if use_alarm:
             disarm_alarm()
         record["metrics"] = metrics

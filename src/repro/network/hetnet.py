@@ -30,12 +30,10 @@ side* of the ledger:
   per-element accumulated time makes ``critical_link`` a measurement, not
   a guess.
 
-Invisibility contract (same as the tracer, docs/OBSERVABILITY.md): the
-model never draws from the workload or algorithm RNG, never charges the
-ledger, and never branches algorithm control flow.  A run with the model
-attached produces bitwise-identical colorings, per-op ledger counters, and
-RNG end state; it only *additionally* reports ``makespan_ms`` and
-``critical_link``.  See docs/NETWORK.md.
+A model reaches a run inside :class:`~repro.observe.instruments.Instruments`
+and obeys the invisibility contract of docs/OBSERVABILITY.md: it only
+*additionally* reports ``makespan_ms`` and ``critical_link``.  See
+docs/NETWORK.md.
 """
 
 from __future__ import annotations
@@ -151,10 +149,9 @@ class HetNetModel:
     * :meth:`from_links` -- explicit per-link arrays (the property-test
       path: monotonicity and degeneracy tests build exact fabrics).
 
-    The model is attached to a
-    :class:`~repro.network.ledger.BandwidthLedger` via
-    ``ledger.attach_netmodel``; the ledger calls :meth:`account` once per
-    charge.  Several ledgers may share one model (the stream engine and
+    :meth:`Instruments.attach <repro.observe.instruments.Instruments.attach>`
+    hooks the model onto a :class:`~repro.network.ledger.BandwidthLedger`,
+    which calls :meth:`account` once per charge.  Several ledgers may share one model (the stream engine and
     its scratch-escalation sub-runs do): per-element times accumulate in
     the model while each ledger keeps its own ``makespan_ms`` scalar, and
     :meth:`~repro.network.ledger.BandwidthLedger.absorb` folds the scalar

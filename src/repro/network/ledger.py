@@ -100,11 +100,9 @@ class BandwidthLedger:
         Optional :class:`~repro.network.hetnet.HetNetModel`.  When
         attached, every charge additionally advances the simulated clock
         (``makespan_ms``) by ``effective_rounds x envelope(capped width)``
-        and accounts the time onto the critical element.  The model is
-        strictly read-only toward the execution: no RNG draws, no extra
-        charges, no control-flow changes -- attaching one is bitwise
-        invisible to every pre-existing counter (the hetnet neutrality
-        tests pin this, same contract as the tracer).
+        and accounts the time onto the critical element.  Runs attach it
+        through :class:`~repro.observe.instruments.Instruments`; it is
+        invisible to every other counter (docs/OBSERVABILITY.md).
     """
 
     bandwidth_bits: int

@@ -1,19 +1,15 @@
-"""Observability: stage-level tracing and per-commit performance history.
+"""Observability: tracing, live metrics, records and per-commit history.
 
-Everything here *watches* the pipeline without perturbing it.  The
-contract that makes the subsystem trustworthy:
+Everything here *watches* the pipeline without perturbing it:
 
-- a :class:`~repro.observe.tracer.Tracer` only reads the bandwidth
-  ledger's snapshots and the wall clock -- it never draws from the RNG,
-  never charges the ledger, and never branches the algorithms, so an
-  enabled tracer is *bitwise-invisible* (same colorings, same per-op
-  ledger, same RNG end state; tested in ``tests/test_observe.py``);
-- the default :data:`~repro.observe.tracer.NULL_TRACER` makes the whole
-  layer a single no-op method call when tracing is off;
-- live metrics (:mod:`repro.observe.metrics`) follow the same neutrality
-  contract: a :class:`~repro.observe.metrics.MetricsRegistry` is fed
-  *measured values* from finished batch reports, so an instrumented
-  service run is bitwise-identical to a bare one;
+- :class:`~repro.observe.instruments.Instruments` bundles the observers
+  of one run (tracer, metrics registry, network model) and attaches them
+  to the ledger in one place; the invisibility contract they share is
+  the "Invisibility contract" section of docs/OBSERVABILITY.md;
+- the default :data:`~repro.observe.tracer.NULL_TRACER` makes tracing a
+  single no-op method call when it is off;
+- :mod:`repro.observe.records` renders result tables
+  (:func:`~repro.observe.records.format_table`);
 - history reporting (:mod:`repro.observe.history`) is *report-only*: it
   flags soft wall-time regressions across commits but never gates
   (``repro compare`` on metrics is the gate).
@@ -40,6 +36,7 @@ from repro.observe.history import (
     service_trend_rows,
     trend_rows,
 )
+from repro.observe.instruments import NO_INSTRUMENTS, Instruments
 from repro.observe.metrics import (
     Counter,
     Gauge,
@@ -48,6 +45,7 @@ from repro.observe.metrics import (
     WindowedSeries,
     exact_percentiles,
 )
+from repro.observe.records import ExperimentRecord, format_table
 from repro.observe.tracer import (
     NULL_TRACER,
     NullTracer,
@@ -58,6 +56,10 @@ from repro.observe.tracer import (
 )
 
 __all__ = [
+    "Instruments",
+    "NO_INSTRUMENTS",
+    "ExperimentRecord",
+    "format_table",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",

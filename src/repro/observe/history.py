@@ -41,6 +41,8 @@ import statistics
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
+from repro.observe.records import format_table
+
 if TYPE_CHECKING:  # import cycle: experiments.runner itself uses the tracer
     from repro.experiments.artifacts import Artifact
 
@@ -480,8 +482,6 @@ def render_history(
     """Human-readable trend report (the ``repro history`` output): commit
     strip, per-cell trend table, and SOFT REGRESSION lines.  Report-only by
     contract -- callers must not turn this into a gate."""
-    from repro.metrics import format_table
-
     if not entries:
         return "no history entries"
     window = entries[-last_n:]

@@ -15,10 +15,9 @@ service (:mod:`repro.serve`):
 * :class:`WindowedSeries` -- fixed-width time windows accumulating
   count/sum/min/max, for throughput-over-time and properness-over-time.
 
-Everything here obeys the observe-layer neutrality contract
-(docs/OBSERVABILITY.md): instruments are fed *measured values* -- they
-never draw randomness, never charge a ledger, and never branch the
-algorithms, so an instrumented run is bitwise-identical to a bare one.
+A registry reaches a run inside
+:class:`~repro.observe.instruments.Instruments` and is fed *measured
+values* only (the invisibility contract, docs/OBSERVABILITY.md).
 
 Histogram accuracy
 ------------------

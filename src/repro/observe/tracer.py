@@ -12,17 +12,11 @@ and free-form counters (frontier sizes, escalations, rows processed).
 Spans nest: a stage span contains its per-pass spans, and a child's
 counters are a sub-interval of its parent's.
 
-Neutrality contract
--------------------
-
-Tracing must be *bitwise-invisible*: an enabled tracer only reads ledger
-snapshots and the wall clock -- it never draws randomness, never charges
-the ledger, and never changes control flow.  The pinned-seed digest tests
-(``tests/test_observe.py``) prove an enabled-tracer run produces the same
-colorings, per-op ledger, and RNG end state as an untraced run.  The
-default is the module singleton :data:`NULL_TRACER`, whose ``span`` returns
-a shared no-op context manager -- the overhead of an untraced call site is
-one attribute lookup and one method call.
+The default is the module singleton :data:`NULL_TRACER`, whose ``span``
+returns a shared no-op context manager -- the overhead of an untraced call
+site is one attribute lookup and one method call.  A tracer reaches a run
+inside :class:`~repro.observe.instruments.Instruments`; the invisibility
+contract is in docs/OBSERVABILITY.md.
 """
 
 from __future__ import annotations
@@ -157,14 +151,13 @@ class Tracer:
     ----------
     ledger:
         Optional :class:`~repro.network.ledger.BandwidthLedger` whose
-        counters spans attribute.  The executing runtime normally binds its
-        own ledger via :meth:`bind_ledger` before any span opens.
+        counters spans attribute.  :meth:`Instruments.attach
+        <repro.observe.instruments.Instruments.attach>` binds the executing
+        run's ledger before any span opens.
 
     The tracer is single-threaded by design (like the runtimes it traces):
     spans close in LIFO order, enforced with a ``RuntimeError`` on misuse.
     """
-
-    enabled: bool = True
 
     def __init__(self, ledger=None) -> None:
         self.ledger = ledger
@@ -208,10 +201,6 @@ class Tracer:
             )
         self._stack.pop()
 
-    def counter(self, name: str, value: float = 1) -> None:
-        """Accumulate ``value`` onto the innermost open span (or the root)."""
-        self._stack[-1].counter(name, value)
-
     # ---- views ---------------------------------------------------------------
 
     @property
@@ -252,17 +241,12 @@ class NullTracer:
     singleton :data:`NULL_TRACER` rather than constructing new instances.
     """
 
-    enabled: bool = False
-
     def bind_ledger(self, ledger) -> None:
         """No-op."""
 
     def span(self, name: str, **tags: Any) -> _NullSpan:
         """Return the shared no-op span."""
         return _NULL_SPAN
-
-    def counter(self, name: str, value: float = 1) -> None:
-        """No-op."""
 
     def to_dict(self) -> None:
         """A null tracer has no trace (``None``, not an empty tree)."""

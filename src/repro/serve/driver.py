@@ -20,22 +20,23 @@ the service-only fields (queue/latency percentiles, sustained trace-clock
 throughput, the SLO verdict).  :func:`run_service` wraps the whole
 lifecycle for the sweep runner and ``repro serve``.
 
-Like the tracer and the metrics registry, the driver obeys the
-observe-layer neutrality contract: it feeds instruments from finished
-batch reports and the virtual clock only, so a served stream produces
-bitwise-identical colorings, ledger, and RNG end state to the same
-workload pushed through :func:`~repro.dynamic.harness.run_stream`.
+The driver feeds its instruments from finished batch reports and the
+virtual clock only, so a served stream produces bitwise-identical
+colorings, ledger, and RNG end state to the same workload pushed through
+:func:`~repro.dynamic.harness.run_stream` (the invisibility contract,
+docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Iterable
 
 from repro.dynamic.engine import BatchReport, DynamicColoring, StreamResult
 from repro.dynamic.harness import latency_fields, summarize_stream
+from repro.observe.instruments import NO_INSTRUMENTS, Instruments
 from repro.observe.metrics import MetricsRegistry, exact_percentiles
-from repro.observe.tracer import NULL_TRACER
+from repro.observe.records import format_table
 from repro.params import AlgorithmParameters
 from repro.serve.slo import DEFAULT_SLOS, SLOTarget, evaluate_slos
 
@@ -78,9 +79,9 @@ class ColoringService:
     Parameters mirror :func:`repro.dynamic.harness.run_stream` (same
     engine underneath); ``slos`` is the tuple of
     :class:`~repro.serve.slo.SLOTarget` objectives :meth:`collect`
-    evaluates, and ``metrics`` an optional shared
-    :class:`~repro.observe.metrics.MetricsRegistry` (the service creates
-    a private one when omitted).
+    evaluates.  The service's live views need a
+    :class:`~repro.observe.metrics.MetricsRegistry`, so it adds a private
+    one when ``instruments`` carry none.
     """
 
     def __init__(
@@ -91,8 +92,7 @@ class ColoringService:
         seed: int = 0,
         mode: str = "repair",
         verify_each_batch: bool = True,
-        tracer=None,
-        metrics: MetricsRegistry | None = None,
+        instruments: Instruments = NO_INSTRUMENTS,
         slos: Iterable[SLOTarget] = DEFAULT_SLOS,
     ) -> None:
         batches = getattr(workload, "batches", None)
@@ -106,8 +106,11 @@ class ColoringService:
         self.seed = seed
         self.mode = mode
         self.verify_each_batch = verify_each_batch
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        if instruments.metrics is None:
+            instruments = replace(instruments, metrics=MetricsRegistry())
+        self.instruments = instruments
+        self.tracer = instruments.tracer
+        self.metrics = instruments.metrics
         self.slos = tuple(slos)
         arrivals = getattr(workload, "arrivals", None)
         self.arrivals: list[float] = (
@@ -161,9 +164,7 @@ class ColoringService:
             seed=self.seed,
             mode=engine_mode,
             verify_each_batch=self.verify_each_batch,
-            tracer=self.tracer,
-            metrics=self.metrics,
-            netmodel=getattr(self.workload, "netmodel", None),
+            instruments=self.instruments,
         )
         self.bootstrap_wall_time_s = time.perf_counter() - bootstrap_start
         self._running = True
@@ -299,8 +300,6 @@ def render_dashboard(service: ColoringService, window_s: float = 30.0) -> str:
 
     Reads the registry and the entry log only -- rendering mid-trace
     cannot perturb the stream (neutrality contract)."""
-    from repro.metrics import format_table
-
     m = service.metrics
     served = len(service.entries)
     total = len(service.workload.batches)
@@ -349,8 +348,7 @@ def run_service(
     seed: int = 0,
     mode: str = "repair",
     verify_each_batch: bool = True,
-    tracer=None,
-    metrics: MetricsRegistry | None = None,
+    instruments: Instruments = NO_INSTRUMENTS,
     slos: Iterable[SLOTarget] = DEFAULT_SLOS,
 ) -> tuple[ColoringService, dict[str, Any]]:
     """Serve the whole trace and collect: the service analogue of
@@ -362,8 +360,7 @@ def run_service(
         seed=seed,
         mode=mode,
         verify_each_batch=verify_each_batch,
-        tracer=tracer,
-        metrics=metrics,
+        instruments=instruments,
         slos=slos,
     )
     service.run()

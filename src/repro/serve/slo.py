@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
+from repro.observe.records import format_table
+
 __all__ = [
     "DEFAULT_SLOS",
     "SLOReport",
@@ -156,8 +158,6 @@ def evaluate_slos(
 
 def render_slo_report(report: SLOReport) -> str:
     """The final SLO table ``repro serve`` prints (report-only by default)."""
-    from repro.metrics import format_table
-
     rows = [
         {
             "slo": r.target.describe(),

