@@ -257,3 +257,74 @@ class TestParamValidation:
         cleaned = clamp_params("voronoi", wild)
         validate_params("voronoi", cleaned)
         assert cleaned["n_clusters"] <= cleaned["n"]
+
+
+def _instance_digest(graph) -> str:
+    """sha256 over every byte that defines a built instance: the
+    communication graph's CSR, the conflict graph's CSR and the
+    machine-to-cluster assignment."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for arr in (
+        graph.comm.csr.indptr,
+        graph.comm.csr.indices,
+        graph.csr.indptr,
+        graph.csr.indices,
+        np.asarray(graph.assignment, dtype=np.int64),
+    ):
+        digest.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
+    return digest.hexdigest()
+
+
+def _sliding_window_initial():
+    from repro.workloads import sliding_window_stream
+
+    # the perfbench `churn` miniature; .graph is the initial instance
+    return sliding_window_stream(
+        np.random.default_rng(0), n_vertices=600, avg_degree=8,
+        cluster_size=3, topology="tree", batches=20, churn_fraction=0.01,
+    ).graph
+
+
+class TestSparseSamplerPins:
+    """Byte pins of instances built through the ``avg_degree`` sampler.
+
+    The digests were recorded from the networkx-based sampler; any sampler
+    must reproduce them exactly (same edges, same edge order into
+    ``blowup``'s rng draws).  Never re-pin these.
+    """
+
+    PINNED = {
+        # the perfbench `dense` miniature
+        "high_degree_dense_mini": (
+            lambda: high_degree_instance(
+                np.random.default_rng(0), n_vertices=400, avg_degree=60,
+                cluster_size=1,
+            ).graph,
+            "c13c826fe19f3daeb7b89a71f7407881c4956119bddc1e693a4a0062f0ac4327",
+        ),
+        # disconnected draw: hundreds of stitch edges
+        "congest_disconnected": (
+            lambda: congest_instance(
+                np.random.default_rng(0), n=2000, avg_degree=2
+            ).graph,
+            "283a877e3b3fbdeb2380373e36d8b3674207dba5bdd454d069a57307dd230b43",
+        ),
+        "sliding_window_initial": (
+            _sliding_window_initial,
+            "01985dddcc526a83be6b6d60e10ba468b1d2e744a3eb5b02611f6c20619317d9",
+        ),
+        # avg_degree >= n - 1: p clamps to 1, the complete graph
+        "congest_complete": (
+            lambda: congest_instance(
+                np.random.default_rng(0), n=50, avg_degree=60
+            ).graph,
+            "e3b5f1ec6812390109d21372a0a30d878b5ef64eb8bdd266879feac588ce5b58",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_instance_bytes_pinned(self, name):
+        build, expected = self.PINNED[name]
+        assert _instance_digest(build()) == expected
