@@ -21,7 +21,7 @@ import networkx as nx
 import numpy as np
 
 from repro.cluster.cluster_graph import ClusterGraph
-from repro.network.commgraph import CommGraph
+from repro.network.commgraph import CommGraph, _networkx_edge_array
 
 ClusterTopology = Literal["path", "star", "clique", "tree", "bridge"]
 
@@ -135,9 +135,10 @@ def _cluster_internal_edges(
 
 
 def blowup(
-    conflict_graph: nx.Graph,
+    conflict_graph: nx.Graph | np.ndarray,
     rng: np.random.Generator,
     *,
+    n_vertices: int | None = None,
     cluster_size: int = 1,
     topology: ClusterTopology = "star",
     link_multiplicity: int = 1,
@@ -151,6 +152,13 @@ def blowup(
     in the two clusters (several links between the same cluster pair are the
     norm in real cluster graphs -- Figure 1).
 
+    ``conflict_graph`` is a networkx graph (nodes numbered in sorted
+    order) or an ``(m, 2)`` int64 edge array over vertices
+    ``0..n_vertices-1``, which the workload generators pass to keep
+    networkx off their instance path.  Either way the edges are realized
+    in the order given (a graph's ``edges()`` order), which fixes the rng
+    draws.
+
     Returns a :class:`ClusterGraph` whose ``H`` equals ``conflict_graph`` (up
     to the integer relabeling of networkx nodes).
     """
@@ -158,8 +166,14 @@ def blowup(
         raise ValueError("cluster_size must be >= 1")
     if link_multiplicity < 1:
         raise ValueError("link_multiplicity must be >= 1")
-    relabeled = nx.convert_node_labels_to_integers(conflict_graph, ordering="sorted")
-    n_vertices = relabeled.number_of_nodes()
+    if isinstance(conflict_graph, nx.Graph):
+        n_vertices, edge_arr = _networkx_edge_array(
+            conflict_graph, sort_nodes=True
+        )
+    elif n_vertices is None:
+        raise ValueError("an edge-array conflict graph needs n_vertices")
+    else:
+        edge_arr = np.asarray(conflict_graph, dtype=np.int64).reshape(-1, 2)
 
     machine_lists: list[list[int]] = []
     next_machine = 0
@@ -185,7 +199,6 @@ def blowup(
     sizes = np.fromiter(
         (len(m) for m in machine_lists), dtype=np.int64, count=n_vertices
     )
-    edge_arr = np.asarray(list(relabeled.edges()), dtype=np.int64).reshape(-1, 2)
     parts: list[np.ndarray] = []
     if internal:
         parts.append(np.asarray(internal, dtype=np.int64))

@@ -13,7 +13,7 @@ per-vertex loops preserves RNG draw order, ledger accounting, and the exact
 colorings of pinned seeds (property-tested in ``tests/test_graphcore.py``).
 """
 
-from repro.graphcore.csr import CSRAdjacency, csr_of
+from repro.graphcore.csr import CSRAdjacency, csr_of, sorted_unique
 from repro.graphcore.kernels import (
     batch_conflict_mask,
     batch_label_mismatch_counts,
@@ -42,6 +42,7 @@ __all__ = [
     "is_proper_edges",
     "label_components",
     "neighborhood_max_rows",
+    "sorted_unique",
     "used_color_masks_from_flat",
     "violations_edges",
 ]

@@ -17,7 +17,35 @@ from typing import Iterable, Iterator, Sequence
 import networkx as nx
 import numpy as np
 
-from repro.graphcore.csr import CSRAdjacency
+from repro.graphcore.csr import CSRAdjacency, sorted_unique
+
+
+def _networkx_edge_array(
+    graph: nx.Graph, *, sort_nodes: bool = False
+) -> tuple[int, np.ndarray]:
+    """``(n, edges)``: ``graph`` relabeled to ``0..n-1`` as an ``(m, 2)``
+    int64 edge array in ``graph.edges()`` order.
+
+    Nodes are numbered in iteration order, or in sorted order when
+    ``sort_nodes`` -- the ``"default"`` and ``"sorted"`` orderings of
+    ``nx.convert_node_labels_to_integers``, whose relabeled copy lists its
+    edges in exactly this order, so callers draw the same rng sequence per
+    edge without building the copy.  Graphs already labeled ``0..n-1``
+    (every networkx graph the workload generators build) skip the label
+    lookup, and the edges are drained into a flat buffer instead of a
+    boxed list of tuples.
+    """
+    nodes = list(graph)
+    if sort_nodes:
+        nodes.sort()
+    endpoints = (node for edge in graph.edges() for node in edge)
+    if not all(i == node for i, node in enumerate(nodes)):
+        index = {node: i for i, node in enumerate(nodes)}
+        endpoints = map(index.__getitem__, endpoints)
+    flat = np.fromiter(
+        endpoints, dtype=np.int64, count=2 * graph.number_of_edges()
+    )
+    return len(nodes), flat.reshape(-1, 2)
 
 
 class CommGraph:
@@ -57,7 +85,7 @@ class CommGraph:
                 raise ValueError(f"link ({int(u)},{int(v)}) out of range for n={n}")
             lo = np.minimum(arr[:, 0], arr[:, 1])
             hi = np.maximum(arr[:, 0], arr[:, 1])
-            codes = np.unique(lo * n + hi)
+            codes = sorted_unique(lo * n + hi)
             self._link_u = codes // n
             self._link_v = codes % n
             self._link_codes = codes
@@ -129,25 +157,9 @@ class CommGraph:
 
     @classmethod
     def from_networkx(cls, graph: nx.Graph) -> "CommGraph":
-        """Build from a networkx graph with integer-relabelable nodes.
-
-        Nodes already labeled ``0..n-1`` in iteration order (every
-        generator in :mod:`repro.workloads` produces these) skip the
-        relabeling graph copy, and the edge list is drained into a flat
-        int64 buffer instead of a boxed list of tuples -- together ~4x
-        faster at 50k machines / 250k links.
-        """
-        identity = all(i == node for i, node in enumerate(graph.nodes()))
-        relabeled = (
-            graph if identity else nx.convert_node_labels_to_integers(graph)
-        )
-        m = relabeled.number_of_edges()
-        flat = np.fromiter(
-            (endpoint for edge in relabeled.edges() for endpoint in edge),
-            dtype=np.int64,
-            count=2 * m,
-        )
-        return cls(relabeled.number_of_nodes(), flat.reshape(-1, 2))
+        """Build from a networkx graph, numbering machines in the graph's
+        node iteration order (see :func:`_networkx_edge_array`)."""
+        return cls(*_networkx_edge_array(graph))
 
     def to_networkx(self) -> nx.Graph:
         """Export to networkx (used by reference checks and generators)."""

@@ -17,6 +17,8 @@ The families mirror the paper's narrative:
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass, field
 
 import networkx as nx
@@ -24,7 +26,8 @@ import numpy as np
 
 from repro.cluster.builders import ClusterTopology, blowup, contraction_clusters, voronoi_clusters
 from repro.cluster.cluster_graph import ClusterGraph
-from repro.network.commgraph import CommGraph
+from repro.graphcore import CSRAdjacency, gather_neighborhoods, label_components
+from repro.network.commgraph import CommGraph, _networkx_edge_array
 from repro.workloads.specs import PARAM_SPECS, validated  # noqa: F401  (re-exported)
 
 
@@ -200,27 +203,128 @@ def cabal_instance(
     )
 
 
+def _gnp_edges(n: int, p: float, seed: int) -> np.ndarray:
+    """``nx.fast_gnp_random_graph(n, p, seed=seed)`` as an ``(m, 2)`` int64
+    edge array in that graph's ``edges()`` order: rows ``(u, v)`` with
+    ``u < v``, sorted.
+
+    A port of networkx 3.6.1's Batagelj--Brandes skip sampler: the same
+    ``random.Random(seed)`` stream and the same ``math.log`` /
+    ``int(lr / lp)`` arithmetic, so every draw lands on the same pair.  The
+    walk over the lower triangle (row ``v``, column ``w < v``) is a walk
+    over linear positions ``v(v-1)/2 + w``; positions are accumulated in
+    chunks and mapped back to pairs vectorized.  ``p <= 0`` and ``p >= 1``
+    give the empty and the complete graph, as networkx's hand-off to
+    ``gnp_random_graph`` does.  A ``p`` so small that ``1 - p == 1`` also
+    gives the empty graph, where networkx divides by ``log(1 - p) = 0``.
+    """
+    if n < 2 or p <= 0 or 1.0 - p == 1.0:
+        return np.empty((0, 2), dtype=np.int64)
+    if p >= 1:
+        return np.stack(np.triu_indices(n, 1), axis=1).astype(np.int64)
+    rand = random.Random(seed).random
+    log = math.log
+    lp = log(1.0 - p)
+    total = n * (n - 1) // 2
+    chunks = []
+    pos = -1  # the walk starts just before position 0
+    while pos < total:
+        expected = p * (total - pos)
+        k = min(1 << 20, int(expected + 4.0 * math.sqrt(expected)) + 64)
+        lr = np.fromiter(
+            (log(1.0 - rand()) for _ in range(k)), dtype=np.float64, count=k
+        )
+        # int(lr / lp) truncates a non-negative quotient; capping it at
+        # `total` (past the end either way) keeps it inside int64
+        steps = np.minimum(lr / lp, total).astype(np.int64) + 1
+        walk = pos + np.cumsum(steps)
+        chunks.append(walk[walk < total])
+        pos = int(walk[-1])
+    walk = np.concatenate(chunks)
+    v = ((1.0 + np.sqrt(8.0 * walk + 1.0)) // 2).astype(np.int64)
+    # the float square root can be one off next to a triangular number
+    v -= v * (v - 1) // 2 > walk
+    v += v * (v + 1) // 2 <= walk
+    w = walk - v * (v - 1) // 2
+    # sampled in (v, w) order; edges() lists row w = min first.  A stable
+    # sort by row keeps v ascending within it.
+    order = np.argsort(w, kind="stable")
+    return np.stack([w[order], v[order]], axis=1)
+
+
+def _stitch_components(n: int, edges: np.ndarray) -> np.ndarray:
+    """``edges`` plus one edge between each pair of consecutive connected
+    components, exactly as the networkx loop ::
+
+        components = list(nx.connected_components(g))
+        for i in range(len(components) - 1):
+            g.add_edge(next(iter(components[i])), next(iter(components[i + 1])))
+
+    adds them, in ``g.edges()`` order afterwards.
+
+    ``edges`` must be in ``edges()`` order of a graph whose adjacency lists
+    are sorted (every G(n, p) sampler's).  Components come in order of
+    their smallest vertex; ``next(iter(component))`` depends on the order
+    networkx's BFS inserted the vertices into the component's set, so each
+    component's set is rebuilt in that order: source first, then level by
+    level, each frontier vertex's unseen neighbors ascending.  A stitch
+    edge lands in its row ``min(u, v)`` after that row's sampled
+    neighbors, in the order the edges were added.
+    """
+    u, v = edges[:, 0], edges[:, 1]
+    labels = label_components(u, v, n, np.ones(n, dtype=bool))
+    sources = np.flatnonzero(labels == np.arange(n))
+    if sources.size <= 1:
+        return edges
+    # one multi-source BFS: components are disjoint, so each keeps its own
+    # discovery order inside the shared frontiers
+    csr = CSRAdjacency.from_edge_arrays(u, v, n)
+    seen = np.zeros(n, dtype=bool)
+    seen[sources] = True
+    frontier = sources
+    levels = [frontier]
+    while frontier.size:
+        _, reached = gather_neighborhoods(csr, frontier)
+        reached = reached[~seen[reached]]
+        uniq, first = np.unique(reached, return_index=True)
+        frontier = uniq[np.argsort(first, kind="stable")]
+        seen[frontier] = True
+        levels.append(frontier)
+    visits = np.concatenate(levels)
+    visits = visits[np.argsort(labels[visits], kind="stable")].tolist()
+    heads = []
+    start = 0
+    for end in np.cumsum(np.bincount(labels)[sources]).tolist():
+        heads.append(next(iter(set(visits[start:end]))))
+        start = end
+    stitches = np.sort(
+        np.array([heads[:-1], heads[1:]], dtype=np.int64).T, axis=1
+    )
+    merged = np.concatenate([edges, stitches])
+    return merged[np.argsort(merged[:, 0], kind="stable")]
+
+
 def _random_network(
     rng: np.random.Generator, n: int, p: float, avg_degree: float | None
-) -> nx.Graph:
-    """One connected G(n, p) draw.
+) -> np.ndarray:
+    """One connected G(n, p) draw on vertices ``0..n-1``, as an ``(m, 2)``
+    int64 edge array in networkx ``edges()`` order (the order
+    :func:`~repro.cluster.builders.blowup` draws its links in).
 
     When ``avg_degree`` is given it overrides ``p`` with ``avg_degree/(n-1)``
-    and switches to the O(n + m) sampler, which is what makes 50k-machine
-    instances generable at all; the default dense sampler is kept for every
-    historical call site so pinned instance seeds keep drawing the exact
-    same graphs.
+    and switches to the O(n + m) skip sampler (:func:`_gnp_edges`, built
+    straight into arrays), which is what makes 50k-machine and
+    million-edge instances generable at all; the default dense sampler,
+    networkx's ``erdos_renyi_graph``, is kept for every historical call
+    site so pinned instance seeds keep drawing the exact same graphs.
+    Either draw is then made connected by :func:`_stitch_components`.
     """
     seed = int(rng.integers(0, 2**31))
     if avg_degree is not None:
-        p = min(1.0, avg_degree / max(1, n - 1))
-        g = nx.fast_gnp_random_graph(n, p, seed=seed)
+        edges = _gnp_edges(n, min(1.0, avg_degree / max(1, n - 1)), seed)
     else:
-        g = nx.erdos_renyi_graph(n, p, seed=seed)
-    components = list(nx.connected_components(g))
-    for i in range(len(components) - 1):
-        g.add_edge(next(iter(components[i])), next(iter(components[i + 1])))
-    return g
+        edges = _networkx_edge_array(nx.erdos_renyi_graph(n, p, seed=seed))[1]
+    return _stitch_components(n, edges)
 
 
 @validated("congest")
@@ -234,8 +338,7 @@ def congest_instance(
     """``H = G``: the CONGEST special case the paper strictly generalizes."""
     if p is None:
         p = min(1.0, 8.0 / n + 0.05)
-    g = _random_network(rng, n, p, avg_degree)
-    comm = CommGraph.from_networkx(g)
+    comm = CommGraph(n, _random_network(rng, n, p, avg_degree))
     return Workload(
         name="congest",
         graph=ClusterGraph.identity(comm),
@@ -256,8 +359,7 @@ def contraction_instance(
     """Cluster graph obtained by contracting a random forest of a random
     network -- how cluster graphs arise in flow/decomposition algorithms.
     """
-    g = _random_network(rng, n, p, avg_degree)
-    comm = CommGraph.from_networkx(g)
+    comm = CommGraph(n, _random_network(rng, n, p, avg_degree))
     return Workload(
         name="contraction",
         graph=contraction_clusters(comm, fraction, rng),
@@ -276,8 +378,7 @@ def voronoi_instance(
     avg_degree: float | None = None,
 ) -> Workload:
     """Voronoi (BFS-region) clustering of a random network."""
-    g = _random_network(rng, n, p, avg_degree)
-    comm = CommGraph.from_networkx(g)
+    comm = CommGraph(n, _random_network(rng, n, p, avg_degree))
     return Workload(
         name="voronoi",
         graph=voronoi_clusters(comm, n_clusters, rng),
@@ -365,8 +466,11 @@ def high_degree_instance(
     quadratic edge counts.
     """
     p = degree_fraction
-    g = _random_network(rng, n_vertices, p, avg_degree)
-    graph = blowup(g, rng, cluster_size=cluster_size, topology=topology)
+    edges = _random_network(rng, n_vertices, p, avg_degree)
+    graph = blowup(
+        edges, rng, n_vertices=n_vertices, cluster_size=cluster_size,
+        topology=topology,
+    )
     density = f"{p:.2f}" if avg_degree is None else f"d~{avg_degree:g}"
     return Workload(
         name="high_degree",

@@ -186,8 +186,11 @@ def _initial_graph(
     topology: ClusterTopology,
 ):
     """A connected random conflict graph blown up into clusters."""
-    h = _random_network(rng, n_vertices, 0.0, avg_degree)
-    return blowup(h, rng, cluster_size=cluster_size, topology=topology)
+    edges = _random_network(rng, n_vertices, 0.0, avg_degree)
+    return blowup(
+        edges, rng, n_vertices=n_vertices, cluster_size=cluster_size,
+        topology=topology,
+    )
 
 
 def _sample_new_edge(

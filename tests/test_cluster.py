@@ -17,6 +17,71 @@ from repro.network import CommGraph
 from repro.workloads import figure1_example
 
 
+def _digest(graph) -> str:
+    """sha256 of a built ClusterGraph's (or a CommGraph's) defining arrays."""
+    import hashlib
+
+    if isinstance(graph, CommGraph):
+        arrays = (graph.csr.indptr, graph.csr.indices)
+    else:
+        arrays = (
+            graph.comm.csr.indptr, graph.comm.csr.indices,
+            graph.csr.indptr, graph.csr.indices,
+            np.asarray(graph.assignment, dtype=np.int64),
+        )
+    digest = hashlib.sha256()
+    for arr in arrays:
+        digest.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
+    return digest.hexdigest()
+
+
+def _string_labelled():
+    graph = nx.Graph()
+    graph.add_edges_from(
+        [("d", "a"), ("b", "c"), ("a", "c"), ("e", "b"), ("c", "d"),
+         ("e", "a"), ("b", "d")]
+    )
+    return graph
+
+
+def _out_of_order_ints():
+    graph = nx.Graph()
+    graph.add_nodes_from([3, 1, 4, 0, 5, 2])
+    graph.add_edges_from(
+        [(4, 0), (1, 3), (2, 4), (0, 1), (3, 2), (1, 4), (5, 0), (2, 5)]
+    )
+    return graph
+
+
+def _sparse_labels():
+    # sorted order equals iteration order, but labels skip values
+    return nx.relabel_nodes(nx.petersen_graph(), lambda i: 10 * i + 7)
+
+
+RELABEL_GRAPHS = {
+    "string_labelled": _string_labelled,
+    "out_of_order_ints": _out_of_order_ints,
+    "sparse_labels": _sparse_labels,
+}
+
+#: (blowup digest, CommGraph.from_networkx digest), recorded when both
+#: relabeled through nx.convert_node_labels_to_integers.
+RELABEL_PINNED = {
+    "string_labelled": (
+        "ce1339cca72088ffdea6a983e1d326269a0550f1ff7f03055b8ba275e4f2cb0e",
+        "fd87f08c003a18d19012d9ccffa5a010a1e5abdfd3d2775c48f123866b7db768",
+    ),
+    "out_of_order_ints": (
+        "bda6798598de898d4fabc3108f2238014cdd1bbcf3b77dbc4eaf5f9ce37ea94a",
+        "92ff9891003e93856ad3492a1d7df1dc6f20a861035324152fb07e81e80d8d34",
+    ),
+    "sparse_labels": (
+        "b220911058480c7bf239d386840d5bec595ec27156aa9ccbbfd4943628eb5e5b",
+        "360b95a6b57496ff421585d34901e9c788028927d926d2821fde04c9b0c61f74",
+    ),
+}
+
+
 class TestSupportTree:
     def test_bfs_tree_spans_cluster(self):
         g = CommGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
@@ -177,6 +242,32 @@ class TestBuilders:
             blowup(nx.path_graph(2), rng, cluster_size=0)
         with pytest.raises(ValueError):
             blowup(nx.path_graph(2), rng, link_multiplicity=0)
+        with pytest.raises(ValueError, match="n_vertices"):
+            blowup(np.array([[0, 1]]), rng)
+
+    @pytest.mark.parametrize("name", sorted(RELABEL_PINNED))
+    def test_relabeled_graphs_build_pinned_instances(self, name):
+        """Graphs not labeled ``0..n-1`` in iteration order keep each
+        builder's relabel ordering -- sorted for ``blowup``, iteration order
+        for ``from_networkx`` -- and the exact instances they built when both
+        relabeled through ``nx.convert_node_labels_to_integers``."""
+        graph = RELABEL_GRAPHS[name]()
+        built = blowup(
+            graph, np.random.default_rng(3), cluster_size=3, topology="tree",
+            link_multiplicity=2,
+        )
+        comm = CommGraph.from_networkx(graph)
+        assert (_digest(built), _digest(comm)) == RELABEL_PINNED[name]
+
+    def test_edge_array_input_matches_graph_input(self):
+        graph = nx.gnp_random_graph(40, 0.2, seed=5)
+        edges = np.array(list(graph.edges()), dtype=np.int64)
+        a = blowup(graph, np.random.default_rng(1), cluster_size=2, topology="tree")
+        b = blowup(
+            edges, np.random.default_rng(1), n_vertices=40, cluster_size=2,
+            topology="tree",
+        )
+        assert _digest(a) == _digest(b)
 
 
 class TestVirtualGraph:

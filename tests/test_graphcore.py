@@ -24,6 +24,7 @@ from repro.graphcore import (
     is_proper_edges,
     label_components,
     neighborhood_max_rows,
+    sorted_unique,
     violations_edges,
 )
 from repro.network import CommGraph
@@ -76,6 +77,32 @@ class TestCSRStructure:
         assert (eu < ev).all()
         assert set(zip(eu.tolist(), ev.tolist())) == set(g.iter_h_edges())
         assert eu.size == g.n_h_edges
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 40),
+        m=st.integers(0, 120),
+        dedupe=st.booleans(),
+    )
+    @settings(max_examples=60)
+    def test_from_edge_arrays_matches_lexsort_layout(self, seed, n, m, dedupe):
+        """Duplicates and both orientations included: the single-key sort
+        lays out the same CSR as the (src, dst) lexsort reference, and
+        ``sorted_unique`` equals ``np.unique``."""
+        rng = np.random.default_rng(seed)
+        eu, ev = rng.integers(0, n, size=(2, m))
+        csr = CSRAdjacency.from_edge_arrays(eu, ev, n, dedupe=dedupe)
+        if dedupe and m:
+            keys = np.minimum(eu, ev) * n + np.maximum(eu, ev)
+            codes = np.unique(keys)
+            assert sorted_unique(keys).tolist() == codes.tolist()
+            eu, ev = codes // n, codes % n
+        src = np.concatenate([eu, ev])
+        dst = np.concatenate([ev, eu])
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
+        assert csr.indptr.tolist() == indptr.tolist()
+        assert csr.indices.tolist() == dst[np.lexsort((dst, src))].tolist()
+        assert csr.indices.dtype == np.int64
 
     def test_csr_of_duck_typed_graph(self):
         class Stub:

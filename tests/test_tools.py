@@ -36,6 +36,16 @@ class TestLintDocstrings:
         assert "src/repro/observe" in targets
         assert "src/repro/experiments" in targets
 
+    def test_covers_network_workloads_and_cluster(self):
+        targets = lint_docstrings.DEFAULT_TARGETS
+        assert "src/repro/network" in targets
+        assert "src/repro/workloads" in targets
+        assert "src/repro/cluster" in targets
+
+    def test_default_targets_exist(self):
+        for target in lint_docstrings.DEFAULT_TARGETS:
+            assert (REPO / target).is_dir(), target
+
 
 class TestPrintCellTimes:
     def _artifact(self, tmp_path) -> Path:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.workloads import (
     bridge_pathology,
@@ -328,3 +330,83 @@ class TestSparseSamplerPins:
     def test_instance_bytes_pinned(self, name):
         build, expected = self.PINNED[name]
         assert _instance_digest(build()) == expected
+
+
+def _networkx_reference(n, p, avg_degree, seed):
+    """The networkx construction the array sampler replaces: the G(n, p)
+    draw plus the connected-components stitch loop, as ``edges()``."""
+    import networkx as nx
+
+    if avg_degree is not None:
+        p = min(1.0, avg_degree / max(1, n - 1))
+        try:
+            g = nx.fast_gnp_random_graph(n, p, seed=seed)
+        except ZeroDivisionError:  # 1 - p == 1: log(1 - p) is zero
+            g = nx.empty_graph(n)
+    else:
+        g = nx.erdos_renyi_graph(n, p, seed=seed)
+    components = list(nx.connected_components(g))
+    for i in range(len(components) - 1):
+        g.add_edge(next(iter(components[i])), next(iter(components[i + 1])))
+    return list(g.edges())
+
+
+class TestSamplerMatchesNetworkx:
+    """The array sampler and stitching equal networkx edge for edge, in
+    ``edges()`` order -- the order ``blowup`` draws its links in."""
+
+    @staticmethod
+    def _check(n, p, avg_degree, seed):
+        from repro.workloads.generators import _random_network
+
+        rng = np.random.default_rng(seed)
+        nx_seed = int(np.random.default_rng(seed).integers(0, 2**31))
+        got = _random_network(rng, n, p, avg_degree)
+        assert got.dtype == np.int64 and got.shape[1] == 2
+        assert list(map(tuple, got.tolist())) == _networkx_reference(
+            n, p, avg_degree, nx_seed
+        )
+
+    @given(data=st.data(), n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60)
+    def test_avg_degree_sampler(self, data, n, seed):
+        avg_degree = data.draw(st.floats(0.0, n + 5.0), label="avg_degree")
+        self._check(n, 0.0, avg_degree, seed)
+
+    @pytest.mark.parametrize(
+        "n,avg_degree",
+        [(1, 0.0), (1, 3.0), (2, 0.0), (2, 1e-300), (300, 0.0), (60, 59.0),
+         (60, 65.0), (400, 1.0), (2000, 2.0)],
+    )
+    def test_avg_degree_edge_cases(self, n, avg_degree):
+        # p <= 0 and p >= 1 hand off to gnp_random_graph in networkx;
+        # average degree 1-2 draws hundreds of components
+        self._check(n, 0.0, avg_degree, 7)
+
+    @given(n=st.integers(1, 120), p=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30)
+    def test_default_sampler(self, n, p, seed):
+        self._check(n, p, None, seed)
+
+
+def test_sparse_sampler_path_builds_no_networkx_graph(monkeypatch):
+    import networkx as nx
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("networkx called on the avg_degree path")
+
+    for owner, name in [
+        (nx, "fast_gnp_random_graph"),
+        (nx, "connected_components"),
+        (nx, "convert_node_labels_to_integers"),
+        (nx.Graph, "add_edge"),
+        (nx.Graph, "add_edges_from"),
+    ]:
+        monkeypatch.setattr(owner, name, forbidden)
+    w = high_degree_instance(
+        np.random.default_rng(0), n_vertices=400, avg_degree=60, cluster_size=1
+    )
+    assert w.graph.n_vertices == 400
+    assert _sliding_window_initial().n_vertices == 600
+    assert congest_instance(np.random.default_rng(0), n=300, avg_degree=3).graph

@@ -6,9 +6,10 @@ public symbol of ``repro.graphcore`` (the batched kernels every hot path
 runs on), ``repro.dynamic`` (the streaming engine API), ``repro.sketch``
 (the fingerprint estimators and their documented contract,
 docs/ESTIMATORS.md), ``repro.decomposition`` (the ACD pipeline those
-estimators drive), and ``repro.network`` (the ledger plus the
-simulated-time heterogeneous fabric model, docs/NETWORK.md) documents its
-arguments, shapes, and invariants.  This
+estimators drive), ``repro.network`` (the ledger plus the
+simulated-time heterogeneous fabric model, docs/NETWORK.md), and
+``repro.cluster`` (cluster graphs and the builders the workload
+generators call) documents its arguments, shapes, and invariants.  This
 lint enforces the *presence* half of that promise statically: every public
 module, class, function, and method in those packages must carry a
 docstring.
@@ -39,6 +40,7 @@ DEFAULT_TARGETS = (
     "src/repro/network",
     "src/repro/fuzz",
     "src/repro/workloads",
+    "src/repro/cluster",
 )
 
 FunctionNode = (ast.FunctionDef, ast.AsyncFunctionDef)
