@@ -25,7 +25,10 @@ from repro.coloring.multicolor_trial import multicolor_trial
 from repro.coloring.try_color import resolve_proposals
 from repro.coloring.types import PartialColoring, UNCOLORED
 from repro.decomposition.acd import AlmostCliqueDecomposition
-from repro.sketch.fingerprint import direct_count_fingerprint
+from repro.sketch.fingerprint import (
+    direct_count_fingerprint,
+    fingerprint_message_bits,
+)
 
 PHASE_ONE_ITERATIONS = 3
 
@@ -138,7 +141,8 @@ def complete_noncabals(
                 if z >= threshold:
                     proposals[v] = int(free[int(runtime.rng.integers(0, free.size))])
         runtime.wide_message(
-            op + "_z", 2 * params.fingerprint_trials(runtime.n, 0.25) + 16
+            op + "_z",
+            fingerprint_message_bits(params.fingerprint_trials(runtime.n, 0.25)),
         )
         if proposals:
             resolve_proposals(runtime, coloring, proposals, op=op + "_phase1")

@@ -35,7 +35,7 @@ from repro.coloring.clique_palette import palette_view
 from repro.coloring.errors import StageFailure
 from repro.coloring.types import CliquePaletteView, PartialColoring, UNCOLORED
 from repro.graphcore import batch_conflict_mask, batch_label_mismatch_counts, csr_of
-from repro.sketch.fingerprint import batch_count_estimates
+from repro.sketch.fingerprint import batch_count_estimates, fingerprint_message_bits
 
 
 @dataclass
@@ -223,7 +223,7 @@ def find_safe_donors(
     group_sizes = [len(vs) for vs in sampled.values()]
     estimates = batch_count_estimates(runtime.rng, group_sizes, trials)
     beta = dict(zip(sampled.keys(), estimates.tolist()))
-    runtime.wide_message(op + "_beta", 2 * trials + 16)
+    runtime.wide_message(op + "_beta", fingerprint_message_bits(trials))
 
     # Steps 3-4: per color, the smallest block whose estimate clears the
     # bar; take the first r such colors (prefix sums over a clique tree).

@@ -25,7 +25,7 @@ from repro.aggregation.runtime import ClusterRuntime
 from repro.decomposition.buddy import buddy_predicate
 from repro.decomposition.sparsity import is_valid_almost_clique
 from repro.graphcore import label_components
-from repro.sketch.fingerprint import batch_count_estimates
+from repro.sketch.fingerprint import batch_count_estimates, fingerprint_message_bits
 
 
 @dataclass
@@ -67,10 +67,6 @@ class AlmostCliqueDecomposition:
         """Number of almost-cliques."""
         return len(self.cliques)
 
-    def dense_vertices(self) -> list[int]:
-        """All vertices of ``V_dense``."""
-        return [v for members in self.cliques for v in members]
-
     def is_cabal_vertex(self, v: int) -> bool:
         """Whether ``v`` lies in a cabal."""
         idx = int(self.clique_of[v])
@@ -100,13 +96,6 @@ class AlmostCliqueDecomposition:
         members = self.cliques[idx]
         nbrs = graph.neighbor_set(v)
         return sum(1 for u in members if u != v and u not in nbrs)
-
-    def avg_anti_degree_true(self, graph, clique_index: int) -> float:
-        """Exact ``a_K`` (ground truth)."""
-        members = self.cliques[clique_index]
-        if not members:
-            return 0.0
-        return sum(self.anti_degree_true(graph, v) for v in members) / len(members)
 
 
 def compute_acd(
@@ -139,7 +128,7 @@ def compute_acd(
         )
         trials = params.fingerprint_trials(runtime.n, max(xi, 1e-3))
         estimates = batch_count_estimates(runtime.rng, buddy_count, trials)
-        runtime.wide_message(op + "_count", 2 * trials + 16)
+        runtime.wide_message(op + "_count", fingerprint_message_bits(trials))
         dense_mask = estimates >= (1 - 3 * xi) * delta
         span.counter("rows", n_v)
         span.counter("dense_candidates", int(dense_mask.sum()))

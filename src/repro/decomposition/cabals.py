@@ -20,7 +20,7 @@ from __future__ import annotations
 from repro.aggregation.runtime import ClusterRuntime
 from repro.decomposition.acd import AlmostCliqueDecomposition
 from repro.graphcore import batch_label_mismatch_counts, csr_of
-from repro.sketch.fingerprint import batch_count_estimates
+from repro.sketch.fingerprint import batch_count_estimates, fingerprint_message_bits
 
 
 def annotate_with_cabals(
@@ -55,7 +55,7 @@ def annotate_with_cabals(
         )
         estimates = batch_count_estimates(runtime.rng, true_external, trials)
         e_tilde = {v: float(e) for v, e in zip(dense, estimates)}
-    runtime.wide_message(op + "_external", 2 * trials + 16)
+    runtime.wide_message(op + "_external", fingerprint_message_bits(trials))
 
     e_tilde_clique: list[float] = []
     cabal_flags: list[bool] = []

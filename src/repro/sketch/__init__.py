@@ -20,6 +20,7 @@ from repro.sketch.fingerprint import (
     direct_count_fingerprint,
     estimate_cardinality,
     failure_probability_bound,
+    fingerprint_message_bits,
     neighborhood_maxima,
     trials_for,
 )
@@ -29,16 +30,9 @@ from repro.sketch.encoding import (
     encode_maxima,
     encoded_size_bits,
 )
-from repro.sketch.counting import (
-    approximate_counts_direct,
-    approximate_counts_shared,
-    approximate_degrees,
-    neighborhood_fingerprints,
-)
 from repro.sketch.minwise import MinwiseHash, sample_minwise
 from repro.sketch.representative import RepresentativeFamily, RepresentativeSet
 from repro.sketch.streaming import (
-    StreamingUnionEstimator,
     UnionPlanes,
     estimates_from_counts,
     fused_topk_counts,
@@ -64,20 +58,16 @@ __all__ = [
     "neighborhood_maxima",
     "estimate_cardinality",
     "failure_probability_bound",
+    "fingerprint_message_bits",
     "trials_for",
     "best_baseline",
     "decode_maxima",
     "encode_maxima",
     "encoded_size_bits",
-    "approximate_counts_direct",
-    "approximate_counts_shared",
-    "approximate_degrees",
-    "neighborhood_fingerprints",
     "MinwiseHash",
     "sample_minwise",
     "RepresentativeFamily",
     "RepresentativeSet",
-    "StreamingUnionEstimator",
     "UnionPlanes",
     "estimates_from_counts",
     "fused_topk_counts",

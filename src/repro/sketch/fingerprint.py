@@ -129,6 +129,16 @@ def trials_for(xi: float, failure: float) -> int:
     return max(1, int(math.ceil(200.0 / (xi * xi) * math.log(6.0 / failure))))
 
 
+_MESSAGE_HEADER_BITS = 16
+
+
+def fingerprint_message_bits(trials: int) -> int:
+    """Width charged for one pipelined fingerprint message of ``trials``
+    maxima: the Lemma 5.6 encoding's ``O(t + loglog n)`` bits, taken as
+    two bits per trial plus a 16-bit header."""
+    return 2 * trials + _MESSAGE_HEADER_BITS
+
+
 @dataclass
 class Fingerprint:
     """One aggregatable fingerprint (the ``(Y_i)`` vector).
@@ -184,10 +194,6 @@ class FingerprintTable:
         self.trials = trials
         self.lam = lam
         self.rows = sample_geometric(rng, (n_vertices, trials), lam).astype(np.int16)
-
-    def vertex_fingerprint(self, v: int) -> Fingerprint:
-        """Fingerprint of the singleton ``{v}`` (its own variables)."""
-        return Fingerprint(self.rows[v].astype(np.int64))
 
     def set_fingerprint(self, vertices) -> Fingerprint:
         """Fingerprint of an arbitrary vertex set (max over their rows)."""
