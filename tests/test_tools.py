@@ -26,6 +26,24 @@ class TestLintDocstrings:
         bad.write_text('"""mod."""\n\ndef public():\n    pass\n')
         assert lint_docstrings.main([str(bad)]) == 1
 
+    def _covered(self, package: str) -> bool:
+        path = REPO / package
+        targets = lint_docstrings.DEFAULT_TARGETS
+        return path.is_dir() and any(path.is_relative_to(REPO / t) for t in targets)
+
+    def test_covers_sketch_and_decomposition(self):
+        assert self._covered("src/repro/sketch")
+        assert self._covered("src/repro/decomposition")
+
+    def test_covers_observe_and_experiments(self):
+        assert self._covered("src/repro/observe")
+        assert self._covered("src/repro/experiments")
+
+    def test_covers_network_workloads_and_cluster(self):
+        assert self._covered("src/repro/network")
+        assert self._covered("src/repro/workloads")
+        assert self._covered("src/repro/cluster")
+
     def test_covers_every_package_under_src_repro(self):
         """Every package of ``repro`` is inside some default target, so a
         new package is linted without extending the list by hand."""
