@@ -14,12 +14,13 @@ because max tolerates overlap.  Combined with degree estimates,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from repro.aggregation.runtime import ClusterRuntime
-from repro.graphcore import csr_of, neighborhood_max_rows
+from repro.graphcore import CSRAdjacency, csr_of, neighborhood_max_rows
 from repro.sketch.fingerprint import FingerprintTable, fingerprint_message_bits
 from repro.sketch.geometric import EMPTY_MAX
 from repro.sketch.streaming import UnionPlanes
@@ -27,35 +28,39 @@ from repro.sketch.streaming import UnionPlanes
 
 @dataclass
 class BuddyResult:
-    """Per-edge YES/NO answers plus the intermediate sketches (reused by the
-    ACD construction so the same randomness serves both phases, as in the
-    paper's single pass).
+    """Per-edge YES answers of one buddy pass, plus its degree estimates.
 
     ``yes_u``/``yes_v`` hold the YES edges as parallel int64 arrays with
     ``u < v`` in lexicographic order -- the form the vectorized ACD steps
-    consume; ``yes_edges`` is the same information as a set of pairs.
+    consume.  ``fingerprint_rows`` are the shared per-vertex variables
+    ``X_{u,i}`` the pass drew over ``csr``; the predicate itself reads only
+    their threshold bit-planes, so the neighborhood fingerprints are
+    materialized solely on request (:attr:`neighborhood_rows`).
     """
 
-    yes_edges: set[tuple[int, int]]
+    yes_u: np.ndarray
+    yes_v: np.ndarray
     degree_estimates: np.ndarray
-    neighborhood_rows: np.ndarray
     trials: int
-    yes_u: np.ndarray | None = None
-    yes_v: np.ndarray | None = None
+    fingerprint_rows: np.ndarray = field(repr=False)
+    csr: CSRAdjacency = field(repr=False)
+
+    @property
+    def yes_edges(self) -> set[tuple[int, int]]:
+        """The YES edges as a set of ``(u, v)`` pairs."""
+        return {(int(u), int(v)) for u, v in zip(self.yes_u, self.yes_v)}
 
     def yes_edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """YES edges as parallel ``(u, v)`` arrays (derived from the set
-        when the construction did not supply them, e.g. hand-built test
-        doubles)."""
-        if self.yes_u is None or self.yes_v is None:
-            pairs = sorted(self.yes_edges)
-            self.yes_u = np.fromiter(
-                (u for u, _ in pairs), dtype=np.int64, count=len(pairs)
-            )
-            self.yes_v = np.fromiter(
-                (v for _, v in pairs), dtype=np.int64, count=len(pairs)
-            )
+        """YES edges as parallel ``(u, v)`` arrays."""
         return self.yes_u, self.yes_v
+
+    @cached_property
+    def neighborhood_rows(self) -> np.ndarray:
+        """Neighborhood fingerprints ``max over u in N(v) of X_u`` of every
+        vertex (``EMPTY_MAX`` rows where ``N(v)`` is empty)."""
+        return neighborhood_max_rows(
+            self.csr, self.fingerprint_rows, empty_value=EMPTY_MAX
+        )
 
 
 def buddy_predicate(
@@ -72,13 +77,13 @@ def buddy_predicate(
     trials = runtime.params.fingerprint_trials(runtime.n, max(xi / 2.0, 1e-3))
 
     table = FingerprintTable(n_v, trials, runtime.rng)
-    rows = neighborhood_max_rows(
-        csr_of(graph), table.rows, empty_value=EMPTY_MAX
-    )
+    csr = csr_of(graph)
 
-    # One fused order-statistics pass serves both the degree estimates and
-    # the union probes: the planes index caches per-row (K*, Z).
-    planes = UnionPlanes(rows)
+    # Neighborhood fingerprints as packed threshold bit-planes, AND-reduced
+    # over the CSR: one index serves both the degree estimates (per-row
+    # (K*, Z)) and the union probes, and no (vertices x trials) maxima
+    # matrix is ever built (see docs/ESTIMATORS.md).
+    planes = UnionPlanes(table.rows, csr)
     degree_estimates = planes.row_estimates()
     # Charge: fingerprint convergecast + broadcast (pipelined wide messages).
     bits = fingerprint_message_bits(trials)
@@ -90,10 +95,9 @@ def buddy_predicate(
     # incident edges: they cannot carry friendly edges (Lemma 5.8 first step).
     low_degree = degree_estimates < (1 - 2.0 * xi) * delta
 
-    yes_edges: set[tuple[int, int]] = set()
     yes_u = np.empty(0, dtype=np.int64)
     yes_v = np.empty(0, dtype=np.int64)
-    edge_u, edge_v = csr_of(graph).edge_arrays()
+    edge_u, edge_v = csr.edge_arrays()
     if edge_u.size:
         # |N(u) ∩ N(v)| = deg(u) + deg(v) - |N(u) ∪ N(v)|, every term
         # estimated by a fingerprint; accept when the intersection clears the
@@ -108,14 +112,11 @@ def buddy_predicate(
         accept = intersections >= (1 - 1.5 * xi) * delta
         accept &= ~(low_degree[edge_u] | low_degree[edge_v])
         yes_u, yes_v = edge_u[accept], edge_v[accept]
-        yes_edges = {
-            (int(u), int(v)) for u, v in zip(yes_u, yes_v)
-        }
     return BuddyResult(
-        yes_edges=yes_edges,
-        degree_estimates=degree_estimates,
-        neighborhood_rows=rows,
-        trials=trials,
         yes_u=yes_u,
         yes_v=yes_v,
+        degree_estimates=degree_estimates,
+        trials=trials,
+        fingerprint_rows=table.rows,
+        csr=csr,
     )

@@ -4,7 +4,8 @@ Cells are aligned by their stable key (workload + kwargs + preset + regime +
 algorithm + seeds).  For each gated metric the candidate may exceed the
 baseline by at most a relative tolerance; anything worse is a regression
 and the comparison exits nonzero.  ``proper`` is gated absolutely: a cell
-that was proper at baseline must stay proper.
+that was proper at baseline must stay proper.  So is ``coloring_digest``:
+where both cells carry one, the candidate must have colored exactly alike.
 
 Cells are deterministic given their seeds, so a same-commit comparison
 reports exactly zero deltas; across commits the tolerances absorb intended
@@ -71,6 +72,8 @@ class ComparisonReport:
     tolerances: dict[str, float]
     deltas: list[Delta] = field(default_factory=list)
     improperly_colored: list[str] = field(default_factory=list)
+    #: (label, baseline digest, candidate digest) per recolored cell
+    changed_colorings: list[tuple[str, str, str]] = field(default_factory=list)
     newly_failed: list[str] = field(default_factory=list)
     missing_cells: list[str] = field(default_factory=list)
     extra_cells: list[str] = field(default_factory=list)
@@ -91,9 +94,13 @@ class ComparisonReport:
 
     @property
     def exit_code(self) -> int:
-        """1 if any gate (regression/properness/new failure) tripped, else 0."""
+        """1 if any gate (regression/properness/coloring/new failure)
+        tripped, else 0."""
         gate_failures = (
-            self.regressions or self.improperly_colored or self.newly_failed
+            self.regressions
+            or self.improperly_colored
+            or self.changed_colorings
+            or self.newly_failed
         )
         return 1 if gate_failures else 0
 
@@ -205,6 +212,9 @@ def compare_artifacts(
         bm, cm = base.get("metrics", {}), cand.get("metrics", {})
         if bm.get("proper") and not cm.get("proper"):
             report.improperly_colored.append(label)
+        bd, cd = bm.get("coloring_digest"), cm.get("coloring_digest")
+        if bd is not None and cd is not None and bd != cd:
+            report.changed_colorings.append((label, bd, cd))
         for metric, tol in tolerances.items():
             bv, cv = bm.get(metric), cm.get(metric)
             if bv is None or cv is None:
@@ -247,6 +257,8 @@ def render_report(report: ComparisonReport) -> str:
         )
     for label in report.improperly_colored:
         lines.append(f"REGRESSION {label}: coloring no longer proper")
+    for label, bd, cd in report.changed_colorings:
+        lines.append(f"REGRESSION {label}: coloring_digest {bd} -> {cd}")
     for entry in report.newly_failed:
         lines.append(f"REGRESSION {entry} (was ok at baseline)")
     for label in report.missing_cells:
@@ -277,6 +289,7 @@ def render_report(report: ComparisonReport) -> str:
     lines.append(
         f"{verdict}: {len(report.regressions)} metric regressions, "
         f"{len(report.improperly_colored)} properness losses, "
+        f"{len(report.changed_colorings)} coloring changes, "
         f"{len(report.newly_failed)} newly failing cells"
     )
     return "\n".join(lines)

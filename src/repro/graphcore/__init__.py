@@ -24,6 +24,7 @@ from repro.graphcore.kernels import (
     gather_neighborhoods,
     is_proper_edges,
     label_components,
+    neighborhood_and_rows,
     neighborhood_max_rows,
     used_color_masks_from_flat,
     violations_edges,
@@ -41,6 +42,7 @@ __all__ = [
     "gather_neighborhoods",
     "is_proper_edges",
     "label_components",
+    "neighborhood_and_rows",
     "neighborhood_max_rows",
     "sorted_unique",
     "used_color_masks_from_flat",

@@ -273,33 +273,20 @@ def neighborhood_max_rows(
 ) -> np.ndarray:
     """``out[v] = max over u in N(v) of rows[u]`` for every vertex at once.
 
-    The fingerprint workhorse (Lemma 5.8 / buddy predicate).  Two
-    execution strategies, chosen by row width (both exact, so the choice is
-    invisible to callers -- max is associative and order-free):
-
-    * wide rows (``t >= 96``, the fingerprint regime): per-segment
-      ``gather.max(axis=0)`` -- each reduction runs numpy's SIMD maximum
-      over a contiguous ``(degree, t)`` block, ~5x faster than
-      ``maximum.reduceat``'s scalar inner loop at these widths;
-    * narrow rows: segmented ``maximum.reduceat`` over the CSR layout,
-      gathered in flat chunks of at most ``flat_chunk`` entries split on
-      segment boundaries, which amortizes per-segment call overhead when
-      thousands of segments fit one chunk.
-
-    Neither path materializes the full ``(2m, trials)`` gather.  Vertices
-    with empty neighborhoods get ``empty_value`` rows.
+    Materialized neighborhood fingerprints (Lemma 5.8): a segmented
+    ``maximum.reduceat`` over the CSR layout, gathered in flat chunks of at
+    most ``flat_chunk`` entries split on segment boundaries, which
+    amortizes per-segment call overhead when thousands of segments fit one
+    chunk and never materializes the full ``(2m, trials)`` gather (max is
+    associative and order-free, so any chunking gives the same rows).
+    Vertices with empty neighborhoods get ``empty_value`` rows.  The buddy
+    predicate itself never builds these rows; it reads threshold bit-planes
+    through :func:`neighborhood_and_rows`.
     """
     n = csr.n_vertices
     t = int(rows.shape[1])
     out = np.full((n, t), empty_value, dtype=rows.dtype)
     if csr.indices.size == 0 or t == 0:
-        return out
-    if t >= 96:
-        indptr, indices = csr.indptr, csr.indices
-        for v in range(n):
-            start, stop = indptr[v], indptr[v + 1]
-            if stop > start:
-                rows[indices[start:stop]].max(axis=0, out=out[v])
         return out
     row_budget = max(1, flat_chunk // max(1, t))
     lo = 0
@@ -318,6 +305,28 @@ def neighborhood_max_rows(
             reduced = np.maximum.reduceat(rows[flat], starts, axis=0)
             out[lo:hi][nonempty] = reduced
         lo = hi
+    return out
+
+
+def neighborhood_and_rows(
+    csr: CSRAdjacency, words: np.ndarray, *, identity: np.ndarray
+) -> np.ndarray:
+    """``out[v] = AND over u in N(v) of words[u]`` for every vertex at once.
+
+    ``words`` is an ``(n, width)`` unsigned matrix of packed bits (the
+    buddy predicate's threshold bit-planes ``[X_{u,i} < k]``); vertices
+    with empty neighborhoods get ``identity``, the all-ones row of the
+    AND.  One contiguous ``bitwise_and.reduce`` per neighborhood keeps
+    each ``(degree, width)`` gather cache-sized, which on dense
+    neighborhoods beats a chunked ``reduceat`` over many segments.
+    """
+    out = np.empty((csr.n_vertices, int(words.shape[1])), dtype=words.dtype)
+    out[:] = identity
+    indptr, indices = csr.indptr, csr.indices
+    for v in np.flatnonzero(np.diff(indptr)):
+        np.bitwise_and.reduce(
+            words[indices[indptr[v] : indptr[v + 1]]], axis=0, out=out[v]
+        )
     return out
 
 

@@ -40,7 +40,9 @@ def sample_geometric(
     """
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must be in (0, 1)")
-    return rng.geometric(1.0 - lam, size=size).astype(np.int64) - 1
+    values = rng.geometric(1.0 - lam, size=size)
+    values -= 1
+    return values
 
 
 def sample_max_of_geometrics(

@@ -19,10 +19,10 @@ accumulated.  Everything in this module exploits that invariance:
   scalar form (bitwise-identical to
   :func:`~repro.sketch.fingerprint.estimate_cardinality`), evaluating the
   scalar form once per *distinct* ``(K*, Z)`` pair instead of once per row.
-* :class:`UnionPlanes` answers Lemma 5.8's union queries
-  ``d_hat(N(u) ∪ N(v))`` for whole edge arrays without ever materializing
-  the ``(edges, trials)`` union matrix: ``max(a_i, b_i) < k`` iff
-  ``a_i < k`` and ``b_i < k``, so ``Z_k`` of a union is a popcount of ANDed
+* :class:`UnionPlanes` answers Lemma 5.8's queries ``d_hat(N(v))`` and
+  ``d_hat(N(u) ∪ N(v))`` for whole vertex and edge arrays without ever
+  materializing a fingerprint: a maximum is below ``k`` iff every term is,
+  so ``Z_k`` of a neighborhood or a union is a popcount of ANDed
   per-vertex threshold bitmasks.  An escalating probe starts each edge at
   its provable lower bound ``K* >= max(K*_u, K*_v)`` and almost always
   terminates in one round.  Its estimates use the ``log1p`` form.
@@ -38,10 +38,14 @@ import math
 
 import numpy as np
 
+from repro.graphcore import CSRAdjacency, neighborhood_and_rows
 from repro.sketch.geometric import EMPTY_MAX
 
 _THRESHOLD_NUM = 27
 _THRESHOLD_DEN = 40
+#: ``ln(40/27)``: a ``d``-element maximum has ``Z_k / t ~ exp(-d 2^-k)``,
+#: which reaches ``27/40`` at ``2^k = d / ln(40/27)`` (Claim 5.1).
+_THRESHOLD_LOG = math.log(_THRESHOLD_DEN / _THRESHOLD_NUM)
 
 
 def threshold_index(trials: int) -> int:
@@ -162,57 +166,145 @@ _popcount_rows._lut = None
 
 
 class UnionPlanes:
-    """Packed threshold bit-planes answering pairwise union-cardinality
-    queries without materializing union fingerprints (Lemma 5.8 fused).
+    """Packed threshold bit-planes of every neighborhood fingerprint,
+    answering row and pairwise union-cardinality queries without
+    materializing any fingerprint (Lemma 5.8 fused).
 
-    Built from a ``(rows, trials)`` matrix of per-row maxima (typically the
-    neighborhood fingerprints of every vertex).  Plane ``k`` stores, packed
-    64 trials per word, the bits ``Y^r_i < k``; since
-    ``max(a, b) < k  iff  a < k and b < k``, the union's ``Z_k`` is the
-    popcount of two ANDed plane rows.  ``K*`` of the union is found by an
-    escalating probe from the per-edge lower bound
+    Built from the shared per-vertex variables ``X_{u,i}`` (a
+    ``(rows, trials)`` matrix with values ``>= EMPTY_MAX``) and the CSR
+    adjacency whose neighborhoods they are maxed over.  Plane ``k`` of
+    vertex ``v`` stores, packed 64 trials per word, the bits
+    ``Y^v_i < k`` of the neighborhood maximum ``Y^v``; since a maximum is
+    below ``k`` iff every term is, the plane is the AND over ``u in N(v)``
+    of the packed ``[X_{u,i} < k]`` (all-ones for an empty neighborhood),
+    and ``Z_k`` is its popcount.  The same identity answers unions: the
+    union's ``Z_k`` is the popcount of two ANDed plane rows.  ``K*`` of the
+    union is found by an escalating probe from the per-edge lower bound
     ``max(K*_left, K*_right)`` (unions only shrink ``Z_k``, so ``K*`` never
-    decreases under merging) -- one popcount round for almost every edge,
-    bounded by the global value range.
+    decreases under merging) -- one popcount round for almost every edge.
+
+    Only a small window of thresholds is built: it starts from the true
+    degrees (``Z_k / t`` of a ``d``-element maximum is about
+    ``exp(-d 2^-k)`` by Claim 5.1, so ``K* ~ log2(d / 0.393)``) with one
+    plane of margin on each side, and widens -- adding only the missing
+    planes -- whenever a row's ``K*`` falls outside it or a union probe
+    runs past its top.  The window is an execution choice: every output is
+    the exact integer the materialized fingerprints give, bitwise-identical
+    to :func:`~repro.sketch.fingerprint.batch_estimate` on
+    ``neighborhood_max_rows(csr, rows)`` and its pairwise maxima.
 
     Memory: ``O(rows * planes * trials / 64)`` words for the planes plus
-    ``O(chunk)`` probe temporaries -- nothing scales with the number of
-    queried pairs.  All outputs are bitwise-identical to running
-    :func:`~repro.sketch.fingerprint.batch_estimate` on the materialized
-    union matrix.
+    ``O(chunk)`` gather and probe temporaries -- nothing scales with the
+    number of edges or queried pairs.
     """
 
-    def __init__(self, rows: np.ndarray):
+    def __init__(self, rows: np.ndarray, csr: CSRAdjacency):
         if rows.ndim != 2:
             raise ValueError("expected a (rows, trials) matrix")
         n, t = rows.shape
         if t == 0:
             raise ValueError("empty fingerprints have no estimate")
+        if csr.n_vertices != n:
+            raise ValueError("the CSR must have one vertex per row")
+        if int(rows.min(initial=EMPTY_MAX)) < EMPTY_MAX:
+            raise ValueError("fingerprint values must be >= EMPTY_MAX")
         self.trials = int(t)
         self.q = threshold_index(t)
-        self.row_k, self.row_z = fused_topk_counts(rows, self.q)
-        self.empty_rows = np.all(rows == EMPTY_MAX, axis=1)
-        # plane k covers threshold k_lo + k; K* of any union lies in
-        # [min row K*, global max value + 1] and Z at the top plane is t,
-        # so the probe always terminates inside the plane range.
-        self._k_lo = int(self.row_k.min()) if n else 0
-        k_hi = (int(rows.max()) + 1) if n else 0
-        self._n_planes = max(1, k_hi - self._k_lo + 1)
+        self._rows = rows
+        self._csr = csr
         self._words = (t + 63) // 64
-        planes = np.zeros((n, self._n_planes, self._words * 8), dtype=np.uint8)
-        packed_width = (t + 7) // 8
-        for k in range(self._n_planes):
-            planes[:, k, :packed_width] = np.packbits(
-                rows < (self._k_lo + k), axis=1
-            )
-        self._planes = planes.view(np.uint64).reshape(
-            n, self._n_planes, self._words
+        full = np.zeros(self._words * 8, dtype=np.uint8)
+        full[: (t + 7) // 8] = np.packbits(np.ones(t, dtype=bool))
+        self._all_ones = full.view(np.uint64)
+        # Y^v is all EMPTY_MAX (Z_0 == t) iff no neighbor holds an entry
+        # above EMPTY_MAX; count such neighbors per CSR segment
+        row_max = rows.max(axis=1, initial=EMPTY_MAX)
+        hits = np.concatenate(
+            ([0], np.cumsum(row_max[csr.indices] > EMPTY_MAX))
         )
+        self.empty_rows = hits[csr.indptr[1:]] == hits[csr.indptr[:-1]]
+        # every Y^v entry is below cap, so Z_cap == t: no K* exceeds it
+        self._cap = int(row_max.max(initial=EMPTY_MAX)) + 1
+        degrees = csr.degrees[~self.empty_rows]
+        lo = hi = 0
+        if degrees.size:
+            guess = np.ceil(np.log2(degrees / _THRESHOLD_LOG))
+            lo, hi = int(guess.min()) - 1, int(guess.max()) + 1
+        lo = min(max(lo, 0), self._cap)
+        hi = min(max(hi, lo), self._cap)
+        self._k_lo = lo
+        self._planes = self._neighborhood_planes(lo, hi)
+        self.row_k, self.row_z = self._row_order_statistics()
+
+    @property
+    def _k_hi(self) -> int:
+        return self._k_lo + self._planes.shape[1] - 1
+
+    def _neighborhood_planes(self, k_first: int, k_last: int) -> np.ndarray:
+        """Planes ``k_first..k_last`` of every neighborhood, as an
+        ``(rows, planes, words)`` uint64 array: each vertex's
+        ``[X_{u,i} < k]`` packed, then AND-reduced over the CSR."""
+        n = self._rows.shape[0]
+        n_planes = k_last - k_first + 1
+        packed_width = (self.trials + 7) // 8
+        base = np.zeros((n, n_planes, self._words * 8), dtype=np.uint8)
+        for j in range(n_planes):
+            base[:, j, :packed_width] = np.packbits(
+                self._rows < (k_first + j), axis=1
+            )
+        words = base.view(np.uint64).reshape(n, n_planes * self._words)
+        anded = neighborhood_and_rows(
+            self._csr, words, identity=np.tile(self._all_ones, n_planes)
+        )
+        return anded.reshape(n, n_planes, self._words)
+
+    def _widen(self, k_lo: int, k_hi: int) -> None:
+        """Extend the plane window to cover ``k_lo..min(k_hi, cap)``,
+        building only the planes it lacks."""
+        k_hi = min(k_hi, self._cap)
+        if k_lo >= self._k_lo and k_hi <= self._k_hi:
+            raise AssertionError(
+                "plane window cannot widen past the value range"
+            )  # unreachable: Z_cap == t reaches every threshold
+        parts = [self._planes]
+        if k_lo < self._k_lo:
+            parts.insert(0, self._neighborhood_planes(k_lo, self._k_lo - 1))
+        if k_hi > self._k_hi:
+            parts.append(self._neighborhood_planes(self._k_hi + 1, k_hi))
+        self._planes = np.concatenate(parts, axis=1)
+        self._k_lo = min(k_lo, self._k_lo)
+
+    def _row_order_statistics(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(K*, Z)`` of every neighborhood from plane popcounts, widening
+        the window until it brackets every non-empty row's ``K*``.  Empty
+        rows get ``K* = 0, Z = t``, as :func:`fused_topk_counts` gives."""
+        n = self._rows.shape[0]
+        live = ~self.empty_rows
+        while True:
+            n_planes = self._planes.shape[1]
+            counts = _popcount_rows(
+                self._planes.reshape(n * n_planes, self._words)
+            ).reshape(n, n_planes)
+            reached = counts >= self.q
+            if self._k_lo > 0 and bool((reached[:, 0] & live).any()):
+                # K* may lie below the window: double it downwards
+                self._widen(max(0, self._k_lo - n_planes), self._k_hi)
+            elif bool((~reached[:, -1] & live).any()):
+                self._widen(self._k_lo, self._k_hi + n_planes)
+            else:
+                break
+        first = reached.argmax(axis=1)
+        k_star = self._k_lo + first.astype(np.int64)
+        z = counts[np.arange(n), first]
+        k_star[self.empty_rows] = 0
+        z[self.empty_rows] = self.trials
+        return k_star, z
 
     def row_estimates(self) -> np.ndarray:
-        """Lemma 5.2 estimates of the rows themselves (no union), from the
-        order statistics already computed at construction -- bitwise equal
-        to ``batch_estimate(rows)``."""
+        """Lemma 5.2 estimates of every neighborhood fingerprint ``Y`` (no
+        union), from the order statistics already computed at construction
+        -- bitwise equal to ``batch_estimate(Y)`` with
+        ``Y = neighborhood_max_rows(csr, rows)``."""
         return estimates_from_counts(
             self.row_k, self.row_z, self.trials, empty_rows=self.empty_rows
         )
@@ -220,7 +312,8 @@ class UnionPlanes:
     def union_order_statistics(
         self, left: np.ndarray, right: np.ndarray, *, chunk_rows: int = 1 << 18
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Raw ``(K*, Z)`` of ``max(rows[left], rows[right])`` per pair.
+        """Raw ``(K*, Z)`` of ``max(Y[left], Y[right])`` per pair, ``Y`` the
+        neighborhood fingerprints.
 
         Identical integers to :func:`fused_topk_counts` on the materialized
         union matrix; pairs are processed in chunks of ``chunk_rows`` so the
@@ -233,15 +326,19 @@ class UnionPlanes:
         m = left.size
         k_star = np.empty(m, dtype=np.int64)
         z = np.empty(m, dtype=np.int64)
-        planes, q = self._planes, self.q
+        q = self.q
         for start in range(0, m, chunk_rows):
             cl = left[start : start + chunk_rows]
             cr = right[start : start + chunk_rows]
+            ck = np.zeros(cl.size, dtype=np.int64)
+            cz = np.full(cl.size, self.trials, dtype=np.int64)
+            # the union of two empty sets is empty (K* = 0, Z = t); every
+            # other pair starts at a row K*, which lies inside the window
+            both_empty = self.empty_rows[cl] & self.empty_rows[cr]
+            todo = np.flatnonzero(~both_empty)
             kcur = np.maximum(self.row_k[cl], self.row_k[cr]) - self._k_lo
-            todo = np.arange(cl.size)
-            ck = np.empty(cl.size, dtype=np.int64)
-            cz = np.empty(cl.size, dtype=np.int64)
             while todo.size:
+                planes = self._planes
                 sel_k = kcur[todo]
                 counts = _popcount_rows(
                     planes[cl[todo], sel_k] & planes[cr[todo], sel_k]
@@ -252,10 +349,10 @@ class UnionPlanes:
                 cz[hit] = counts[done]
                 todo = todo[~done]
                 kcur[todo] += 1
-                if todo.size and int(kcur[todo].max()) >= self._n_planes:
-                    raise AssertionError(
-                        "union probe escaped the plane range"
-                    )  # unreachable: the top plane counts every trial
+                if todo.size:
+                    top = int(kcur[todo].max()) + self._k_lo
+                    if top > self._k_hi:
+                        self._widen(self._k_lo, top)
             k_star[start : start + cl.size] = ck
             z[start : start + cl.size] = cz
         return k_star, z
@@ -264,8 +361,8 @@ class UnionPlanes:
         self, left: np.ndarray, right: np.ndarray, *, chunk_rows: int = 1 << 18
     ) -> np.ndarray:
         """Cardinality estimates of ``N(left) ∪ N(right)`` per pair --
-        bitwise equal to ``batch_estimate(np.maximum(rows[left],
-        rows[right]))`` without the ``(pairs, trials)`` intermediate."""
+        bitwise equal to ``batch_estimate(np.maximum(Y[left], Y[right]))``
+        without building ``Y`` or the ``(pairs, trials)`` union matrix."""
         k_star, z = self.union_order_statistics(
             left, right, chunk_rows=chunk_rows
         )

@@ -458,6 +458,26 @@ class TestCompare:
         assert report.exit_code == 1
         assert report.improperly_colored
 
+    def test_coloring_digest_change_is_a_regression(self, tmp_path, capsys):
+        from repro.cli import main
+
+        base_path = tmp_path / "base.jsonl"
+        base = self._artifact(tmp_path, "base.jsonl")
+        cand = self._artifact(tmp_path, "cand.jsonl")
+        digest = base.records[0]["metrics"]["coloring_digest"]
+        flipped = ("1" if digest[0] == "0" else "0") + digest[1:]
+        cand.records[0]["metrics"]["coloring_digest"] = flipped
+        cand_path = write_artifact(
+            tmp_path / "flipped.jsonl", cand.header, cand.records
+        )
+        report = compare_artifacts(base, read_artifact(cand_path))
+        assert [bd for _, bd, _ in report.changed_colorings] == [digest]
+        assert report.exit_code == 1
+        assert main(["compare", str(base_path), str(cand_path)]) == 1
+        out = capsys.readouterr().out
+        assert f"coloring_digest {digest} -> {flipped}" in out
+        assert "1 coloring changes" in out
+
     def test_newly_failed_cell_is_a_regression(self, tmp_path):
         base = self._artifact(tmp_path, "base.jsonl")
         cand = self._artifact(tmp_path, "cand.jsonl")

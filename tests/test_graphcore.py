@@ -23,6 +23,7 @@ from repro.graphcore import (
     gather_neighborhoods,
     is_proper_edges,
     label_components,
+    neighborhood_and_rows,
     neighborhood_max_rows,
     sorted_unique,
     violations_edges,
@@ -285,6 +286,24 @@ class TestKernelAgreement:
             g.csr, rows, empty_value=EMPTY_MAX, flat_chunk=chunk
         )
         assert np.array_equal(full, chunked)
+
+    @given(width=st.integers(0, 5), **graph_params)
+    @settings(max_examples=40)
+    def test_neighborhood_and_rows_vs_per_vertex_reference(
+        self, width, seed, n, density
+    ):
+        """Packed AND over each neighborhood, all-ones where it is empty."""
+        g = random_graph(seed, n, density)
+        rng = np.random.default_rng(seed + 9)
+        words = rng.integers(0, 2**63, size=(n, width), dtype=np.uint64)
+        words |= rng.integers(0, 2**63, size=(n, width), dtype=np.uint64) << 1
+        identity = np.full(width, np.iinfo(np.uint64).max, dtype=np.uint64)
+        got = neighborhood_and_rows(g.csr, words, identity=identity)
+        for v in range(n):
+            expected = identity.copy()
+            for u in g.csr.neighbors(v):
+                expected &= words[u]
+            assert np.array_equal(got[v], expected)
 
 
 class TestCSRFromAdjLists:

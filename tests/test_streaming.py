@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graphcore import CSRAdjacency, neighborhood_max_rows
 from repro.sketch import (
     EMPTY_MAX,
     UnionPlanes,
@@ -34,6 +35,13 @@ from repro.sketch import (
     fused_topk_counts,
     threshold_index,
 )
+
+
+def identity_csr(mat: np.ndarray) -> CSRAdjacency:
+    """CSR in which every vertex's neighborhood is itself, so the
+    neighborhood fingerprints of ``mat`` are ``mat`` row for row."""
+    n = mat.shape[0]
+    return CSRAdjacency(np.arange(n + 1), np.arange(n))
 
 
 def reference_topk(maxima: np.ndarray, q: int):
@@ -130,14 +138,14 @@ class TestUnionPlanes:
         right = rng.integers(0, rows, m).astype(np.int64)
         union = np.maximum(mat[left], mat[right])
 
-        planes = UnionPlanes(mat)
+        planes = UnionPlanes(mat, identity_csr(mat))
         got = planes.union_estimates(left, right)
         assert np.array_equal(got, batch_estimate(union))
 
     @given(maxima_matrices())
     @settings(max_examples=60)
     def test_row_estimates_bitwise(self, mat):
-        planes = UnionPlanes(mat)
+        planes = UnionPlanes(mat, identity_csr(mat))
         assert np.array_equal(planes.row_estimates(), batch_estimate(mat))
 
     def test_chunking_invariant(self):
@@ -145,14 +153,14 @@ class TestUnionPlanes:
         mat = (rng.geometric(0.5, size=(40, 64)) - 1).astype(np.int16)
         left = rng.integers(0, 40, 500)
         right = rng.integers(0, 40, 500)
-        planes = UnionPlanes(mat)
+        planes = UnionPlanes(mat, identity_csr(mat))
         whole = planes.union_estimates(left, right)
         tiny = planes.union_estimates(left, right, chunk_rows=7)
         assert np.array_equal(whole, tiny)
 
     def test_empty_pair_array(self):
         mat = np.full((3, 8), EMPTY_MAX, dtype=np.int16)
-        planes = UnionPlanes(mat)
+        planes = UnionPlanes(mat, identity_csr(mat))
         out = planes.union_estimates(
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         )
@@ -160,9 +168,127 @@ class TestUnionPlanes:
 
     def test_all_empty_rows_estimate_zero(self):
         mat = np.full((4, 16), EMPTY_MAX, dtype=np.int16)
-        planes = UnionPlanes(mat)
+        planes = UnionPlanes(mat, identity_csr(mat))
         out = planes.union_estimates(np.array([0, 1]), np.array([2, 3]))
         assert np.array_equal(out, np.zeros(2))
+
+
+@st.composite
+def fingerprint_graphs(draw):
+    """Random CSR graphs with per-vertex variables: isolated and degree-1
+    vertices, an optional star joined to a clique (skewed degrees), and
+    occasional EMPTY_MAX rows and entries."""
+    n = draw(st.integers(1, 30))
+    trials = draw(st.integers(1, 80))
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(0, 2 * n + 1))
+    eu = rng.integers(0, n, m)
+    ev = rng.integers(0, n, m)
+    if n >= 6 and draw(st.booleans()):
+        # vertex 0 is a star center, joined to the clique on the last
+        # third of the vertices
+        clique = np.arange(n - n // 3, n)
+        cu, cv = np.triu_indices(clique.size, 1)
+        leaves = np.arange(1, n)
+        hub = np.zeros(leaves.size, dtype=np.int64)
+        eu = np.concatenate([eu, hub, clique[cu]])
+        ev = np.concatenate([ev, leaves, clique[cv]])
+    keep = eu != ev
+    csr = CSRAdjacency.from_edge_arrays(eu[keep], ev[keep], n, dedupe=True)
+    rows = (rng.geometric(0.5, size=(n, trials)) - 1).astype(np.int16)
+    for r in range(n):
+        if rng.random() < 0.15:
+            rows[r] = EMPTY_MAX
+        elif rng.random() < 0.15:
+            rows[r, rng.random(trials) < 0.5] = EMPTY_MAX
+    return csr, rows
+
+
+def _assert_planes_match_materialized(csr, rows, left, right):
+    """Row and union (K*, Z) and estimates of ``UnionPlanes(rows, csr)``
+    equal the fused top-k and ``batch_estimate`` on the materialized
+    neighborhood fingerprints, bit for bit."""
+    maxima = neighborhood_max_rows(csr, rows, empty_value=EMPTY_MAX)
+    planes = UnionPlanes(rows, csr)
+    k_ref, z_ref = fused_topk_counts(maxima, planes.q)
+    assert np.array_equal(planes.row_k, k_ref)
+    assert np.array_equal(planes.row_z, z_ref)
+    assert np.array_equal(planes.row_estimates(), batch_estimate(maxima))
+    union = np.maximum(maxima[left], maxima[right]).reshape(-1, rows.shape[1])
+    k_union, z_union = planes.union_order_statistics(left, right)
+    k_ref, z_ref = fused_topk_counts(union, planes.q)
+    assert np.array_equal(k_union, k_ref)
+    assert np.array_equal(z_union, z_ref)
+    got = planes.union_estimates(left, right)
+    assert np.array_equal(got, batch_estimate(union))
+    return planes
+
+
+class TestNeighborhoodPlanes:
+    """``UnionPlanes(rows, csr)`` reads the neighborhood fingerprints off
+    AND-reduced threshold planes; every output must equal the materialized
+    ``neighborhood_max_rows`` path exactly, however the plane window had to
+    widen."""
+
+    @given(fingerprint_graphs(), st.integers(0, 2**31 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_vs_materialized(self, graph, seed):
+        csr, rows = graph
+        n = rows.shape[0]
+        rng = np.random.default_rng(seed)
+        eu, ev = csr.edge_arrays()
+        extra = int(rng.integers(0, 20))
+        left = np.concatenate([eu, rng.integers(0, n, extra)])
+        right = np.concatenate([ev, rng.integers(0, n, extra)])
+        _assert_planes_match_materialized(csr, rows, left, right)
+
+    def test_widens_below_the_degree_window(self):
+        """A 10-clique whose variables are almost all 0: every degree says
+        K* ~ 5, but the fingerprints reach the threshold at k = 1."""
+        cu, cv = np.triu_indices(10, 1)
+        csr = CSRAdjacency.from_edge_arrays(cu, cv, 10)
+        rows = np.zeros((10, 40), dtype=np.int16)
+        rows[0, 0] = 9
+        planes = _assert_planes_match_materialized(csr, rows, cu, cv)
+        assert planes._k_lo == 0
+        assert set(planes.row_k.tolist()) == {1}
+
+    def test_union_probe_widens_past_the_top(self):
+        """Two degree-1 vertices (window k = 1..3) whose rows both reach the
+        threshold at k = 3 while their union needs k = 4."""
+        t, q = 40, threshold_index(40)
+        rows = np.full((2, t), 3, dtype=np.int16)
+        rows[0, :q] = 2
+        rows[1, t - q :] = 2
+        csr = CSRAdjacency.from_edge_arrays(np.array([0]), np.array([1]), 2)
+        planes = UnionPlanes(rows, csr)
+        assert planes._k_hi == 3
+        _assert_planes_match_materialized(
+            csr, rows, np.array([0, 1, 0]), np.array([1, 0, 0])
+        )
+        assert planes.union_order_statistics(np.array([0]), np.array([1]))[
+            0
+        ].tolist() == [4]
+        assert planes._k_hi == 4
+
+    def test_isolated_and_all_empty_vertices(self):
+        """Isolated vertices and neighborhoods of all-EMPTY_MAX rows are
+        empty fingerprints: K* = 0, Z = t, estimate 0.0, also in unions."""
+        rows = np.full((4, 16), EMPTY_MAX, dtype=np.int16)
+        rows[3] = 5
+        csr = CSRAdjacency.from_edge_arrays(
+            np.array([1, 2]), np.array([2, 3]), 4
+        )
+        planes = _assert_planes_match_materialized(
+            csr, rows, np.array([0, 0, 1, 2]), np.array([0, 1, 2, 3])
+        )
+        assert planes.empty_rows.tolist() == [True, True, False, True]
+
+    def test_rejects_values_below_empty_max(self):
+        rows = np.full((2, 8), EMPTY_MAX - 1, dtype=np.int16)
+        with pytest.raises(ValueError, match="EMPTY_MAX"):
+            UnionPlanes(rows, identity_csr(rows))
 
 
 class TestPinnedBuddyDigest:
