@@ -410,3 +410,126 @@ def test_sparse_sampler_path_builds_no_networkx_graph(monkeypatch):
     assert w.graph.n_vertices == 400
     assert _sliding_window_initial().n_vertices == 600
     assert congest_instance(np.random.default_rng(0), n=300, avg_degree=3).graph
+
+
+def _stream_digest(workload) -> str:
+    """sha256 over every batch's ``(kind, u, v, edges, size)`` events, in
+    emission order, with batch boundaries marked."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for i, batch in enumerate(workload.batches):
+        digest.update(f"batch {i} {len(batch)}\n".encode())
+        for up in batch.updates:
+            digest.update(repr((up.kind, up.u, up.v, up.edges, up.size)).encode())
+    return digest.hexdigest()
+
+
+def _stream(name, **kwargs):
+    from repro.workloads import STREAMS
+
+    return lambda: STREAMS[name](np.random.default_rng(0), **kwargs)
+
+
+def _churn_miniature():
+    from repro.workloads import sliding_window_stream
+
+    return sliding_window_stream(
+        np.random.default_rng(0), n_vertices=600, avg_degree=8,
+        cluster_size=3, topology="tree", batches=20, churn_fraction=0.01,
+    )
+
+
+class TestStreamPins:
+    """Byte pins of the churn generators' event streams and of the engine
+    run on perfbench's churn miniature.
+
+    ``hotspot_churn`` and ``cluster_churn`` pick edges by position in their
+    shadow's edge list, so any change to that list's order changes the
+    stream; these pins catch it.  Never re-pin these.
+    """
+
+    PINNED = {
+        # the stream_smoke sizes
+        "sliding_window_smoke": (
+            _stream("sliding_window", n_vertices=500, avg_degree=8.0, batches=6),
+            "97cd70c5d1355b267ff79a12af3aa15f741a1fcd7e71a8f214f1bb194037161e",
+        ),
+        "hotspot_churn_smoke": (
+            _stream("hotspot_churn", n_vertices=300, avg_degree=10.0, batches=5),
+            "d733797bebf9cf61696fcaca7b5faa47c949142e9296e8ac2ea21cc8e9fc592c",
+        ),
+        "cluster_churn_smoke": (
+            _stream(
+                "cluster_churn", n_vertices=150, avg_degree=8.0,
+                cluster_size=4, batches=4,
+            ),
+            "7e0d55bea8ca52cad0186317aaf4bd1068c4a5dfda524993f7de608a0d5a117b",
+        ),
+        # the committed pathology cell hotspot_churn-4a136fab76
+        "hotspot_churn_pathology": (
+            _stream(
+                "hotspot_churn", n_vertices=60, avg_degree=3.0, batches=3,
+                churn_edges=4, cluster_size=1, departures=0, arrivals=4,
+                hotspot_fraction=0.01, topology="star",
+            ),
+            "3167d925c7508ad9a2c12b5995a8d6007992b5487f8f84b042bad19e14730cd6",
+        ),
+        # tests/test_fuzz.py TestEscalationRegression.PINNED
+        "hotspot_churn_escalation": (
+            _stream(
+                "hotspot_churn", n_vertices=60, avg_degree=3.0, batches=8,
+                hotspot_fraction=0.9, churn_edges=400, arrivals=12,
+                departures=12,
+            ),
+            "49b84469cadcf6456e4f0abbf8bffc7aee149b258a87b11924b7d2ba6dd83bff",
+        ),
+        "sliding_window_churn_miniature": (_churn_miniature, "37473275264d24c9c84f6dbbff6320acb2288394249a6c85cef0ffb95d97ad54"),
+    }
+
+    #: Engine runs through ``DynamicColoring`` (repair mode, per-batch
+    #: verification): (stream, rebuild_fraction, final coloring digest of
+    #: the live vertices, sha256 of every batch's (dirty, repaired,
+    #: compacted, rounds_h, message_bits)).
+    ENGINE_PINNED = {
+        # perfbench's churn miniature, at the default rebuild budget
+        "churn_miniature": (
+            _churn_miniature, 0.25, "bbb81c3071633d10",
+            "be305f6a823444db34343067ac4a0284f7e81c4cc5875928ccbbeb275c0c03c4",
+        ),
+        # a tight rebuild budget, so compactions interleave with churn
+        "hotspot_churn_compacting": (
+            _stream("hotspot_churn", n_vertices=300, avg_degree=10.0, batches=5),
+            0.02, "d406533ad40bbcac",
+            "1328ee70366b32d74e6390be146df4ce10edcb13efb49f7256d7c05fe1002ecd",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_stream_bytes_pinned(self, name):
+        build, expected = self.PINNED[name]
+        assert _stream_digest(build()) == expected
+
+    @pytest.mark.parametrize("name", sorted(ENGINE_PINNED))
+    def test_engine_run_pinned(self, name):
+        import hashlib
+
+        from repro.dynamic.engine import DynamicColoring
+        from repro.experiments.runner import coloring_digest
+        from repro.params import scaled
+
+        build, rebuild_fraction, digest, report_digest = self.ENGINE_PINNED[name]
+        workload = build()
+        engine = DynamicColoring(
+            workload.graph, params=scaled(), seed=0, mode="repair",
+            verify_each_batch=True, rebuild_fraction=rebuild_fraction,
+        )
+        reports = [engine.apply(batch) for batch in workload.batches]
+        assert all(r.proper for r in reports)
+        rows = [
+            (r.dirty, r.repaired, r.compacted, r.rounds_h, r.message_bits)
+            for r in reports
+        ]
+        alive = engine.delta.alive_mask
+        assert coloring_digest(engine.colors[alive]) == digest
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == report_digest
