@@ -1,12 +1,22 @@
 """Delta-buffered CSR adjacency: the storage layer of the streaming engine.
 
 A :class:`DeltaCSR` holds an immutable :class:`~repro.graphcore.csr.CSRAdjacency`
-*base* plus small overlay buffers of edits (inserted edges, deleted edges,
-added/removed vertices).  Queries merge base and overlay on the fly; when the
-overlay grows past ``rebuild_fraction`` of the base, :meth:`compact` folds
-everything into a fresh base via :meth:`CSRAdjacency.from_edge_arrays` -- the
-classic periodic-rebuild scheme, so a long stream of small batches never
-degrades query cost.
+*base* plus an array overlay of edits:
+
+* a live-mask over the base's undirected edges, addressed through their
+  sorted pair codes -- deleting or resurrecting a base edge flips one bit
+  found by ``searchsorted``;
+* an append-only insert log of non-base edges ``(u, v, live)``, where a
+  deletion leaves a tombstone, plus a pair-key -> slot map for point
+  lookups.  A neighbor read scans the log only for a vertex whose degree
+  exceeds its live base row.
+
+Queries merge base and overlay on the fly, and the live edge list is one
+masked concatenation, so the per-batch properness check never walks Python
+containers.  When the overlay outgrows ``rebuild_fraction`` of the current
+edge count, :meth:`compact` folds everything into a fresh base via
+:meth:`CSRAdjacency.from_edge_arrays` -- the classic periodic-rebuild
+scheme, so a long stream of small batches never degrades query cost.
 
 Vertex ids are stable across the lifetime of the structure: removing a vertex
 leaves a dead (edge-free) id behind rather than renumbering, so stream events
@@ -21,16 +31,24 @@ from repro.graphcore.csr import CSRAdjacency
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
+#: Pair-key stride of the insert log's slot map (ids stay below 2**32).
+_KEY = 1 << 32
+
 
 class DeltaCSR:
-    """A mutable undirected adjacency: CSR base + edit overlay.
+    """A mutable undirected adjacency: CSR base + array edit overlay.
+
+    The base index (sorted pair codes and their live-mask) is built on the
+    first point lookup or write, so construction stays O(1) beyond the
+    degree copy.  :meth:`edge_arrays` lists the live base edges first,
+    in base CSR order, then the live inserted edges in insertion order.
 
     Parameters
     ----------
     base:
         The starting adjacency (vertices ``0..base.n_vertices-1`` alive).
     rebuild_fraction:
-        Compact when overlay edits exceed this fraction of the base's
+        Compact when overlay edits exceed this fraction of the *current*
         directed-edge count (plus a small absolute floor, so tiny graphs
         do not rebuild on every edit).
     """
@@ -38,18 +56,38 @@ class DeltaCSR:
     def __init__(self, base: CSRAdjacency, *, rebuild_fraction: float = 0.25):
         if rebuild_fraction <= 0:
             raise ValueError("rebuild_fraction must be positive")
-        self._base = base
         self._rebuild_fraction = rebuild_fraction
         self._n = base.n_vertices
         self._alive = np.ones(self._n, dtype=bool)
-        # overlay: per-vertex *sets* (symmetric); _deleted only holds base
-        # edges, _inserted only holds non-base edges -- never both
-        self._inserted: dict[int, set[int]] = {}
-        self._deleted: dict[int, set[int]] = {}
         self._delta_ops = 0
         self._rebuilds = 0
         self._degrees = base.degrees.astype(np.int64)
         self._n_edges = base.n_directed_edges // 2
+        self._reset(base)
+
+    def _reset(self, base: CSRAdjacency) -> None:
+        """Install ``base`` with an empty overlay and no index yet."""
+        self._base = base
+        self._nb = base.n_vertices
+        # base index, built by _index() on the first lookup
+        self._codes: np.ndarray | None = None  # sorted lo * nb + hi
+        self._live: np.ndarray | None = None  # per base edge
+        self._base_dead = 0
+        # insert log (non-base edges, lo < hi) with tombstones
+        self._log_u = _EMPTY
+        self._log_v = _EMPTY
+        self._log_live = np.empty(0, dtype=bool)
+        self._log_len = 0
+        self._log_alive = 0
+        self._slots: dict[int, int] = {}  # pair key -> live log slot
+
+    def _index(self) -> np.ndarray:
+        """The base's sorted pair codes, building the index on first use."""
+        if self._codes is None:
+            base_u, base_v = self._base.edge_arrays()
+            self._codes = base_u * self._nb + base_v  # CSR order is code order
+            self._live = np.ones(self._codes.size, dtype=bool)
+        return self._codes
 
     # ---- size and liveness ---------------------------------------------------
 
@@ -103,20 +141,23 @@ class DeltaCSR:
         if not (0 <= v < self._n) or not self._alive[v]:
             raise ValueError(f"vertex {v} is not alive")
 
-    def _base_has(self, u: int, v: int) -> bool:
-        if u >= self._base.n_vertices:
-            return False
-        nbrs = self._base.neighbors(u)
-        i = int(np.searchsorted(nbrs, v))
-        return i < nbrs.size and int(nbrs[i]) == v
+    def _base_edge(self, lo: int, hi: int) -> int:
+        """Index of base edge ``{lo, hi}`` (``lo < hi``), or -1."""
+        nb = self._nb
+        if lo < 0 or hi >= nb:
+            return -1
+        codes = self._codes if self._codes is not None else self._index()
+        code = lo * nb + hi
+        i = int(codes.searchsorted(code))
+        return i if i < codes.size and codes[i] == code else -1
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether ``{u, v}`` is a current edge (base + overlay)."""
-        if v in self._inserted.get(u, ()):
+        lo, hi = (u, v) if u < v else (v, u)
+        if lo * _KEY + hi in self._slots:
             return True
-        if v in self._deleted.get(u, ()):
-            return False
-        return self._base_has(u, v)
+        i = self._base_edge(lo, hi)
+        return i >= 0 and bool(self._live[i])
 
     def insert_edge(self, u: int, v: int) -> None:
         """Add undirected edge ``{u, v}``; raises if present or degenerate."""
@@ -124,30 +165,48 @@ class DeltaCSR:
         self._check_alive(v)
         if u == v:
             raise ValueError(f"self-loop on vertex {u}")
-        if self.has_edge(u, v):
+        lo, hi = (u, v) if u < v else (v, u)
+        key = lo * _KEY + hi
+        i = self._base_edge(lo, hi)
+        if key in self._slots or (i >= 0 and self._live[i]):
             raise ValueError(f"edge ({u},{v}) already present")
-        if self._base_has(u, v):  # resurrect a base edge: undo its deletion
-            self._deleted[u].discard(v)
-            self._deleted[v].discard(u)
+        if i >= 0:  # resurrect a base edge: undo its deletion
+            self._live[i] = True
+            self._base_dead -= 1
         else:
-            self._inserted.setdefault(u, set()).add(v)
-            self._inserted.setdefault(v, set()).add(u)
+            self._log_append(lo, hi, key)
         self._degrees[u] += 1
         self._degrees[v] += 1
         self._n_edges += 1
         self._delta_ops += 1
 
+    def _log_append(self, lo: int, hi: int, key: int) -> None:
+        k = self._log_len
+        if k == self._log_u.size:  # grow by doubling
+            cap = max(64, 2 * k)
+            self._log_u = np.resize(self._log_u, cap)
+            self._log_v = np.resize(self._log_v, cap)
+            self._log_live = np.resize(self._log_live, cap)
+        self._log_u[k] = lo
+        self._log_v[k] = hi
+        self._log_live[k] = True
+        self._log_len = k + 1
+        self._log_alive += 1
+        self._slots[key] = k
+
     def delete_edge(self, u: int, v: int) -> None:
         """Remove undirected edge ``{u, v}``; raises if absent."""
-        if not self.has_edge(u, v):
-            raise ValueError(f"edge ({u},{v}) not present")
-        ins_u = self._inserted.get(u)
-        if ins_u is not None and v in ins_u:  # overlay-only edge: cancel it
-            ins_u.discard(v)
-            self._inserted[v].discard(u)
+        lo, hi = (u, v) if u < v else (v, u)
+        slot = self._slots.pop(lo * _KEY + hi, None)
+        if slot is not None:  # overlay-only edge: tombstone it
+            self._log_live[slot] = False
+            self._log_alive -= 1
         else:
-            self._deleted.setdefault(u, set()).add(v)
-            self._deleted.setdefault(v, set()).add(u)
+            i = self._base_edge(lo, hi)
+            if i < 0 or not self._live[i]:
+                raise ValueError(f"edge ({u},{v}) not present")
+            self._live[i] = False
+            self._base_dead += 1
         self._degrees[u] -= 1
         self._degrees[v] -= 1
         self._n_edges -= 1
@@ -179,17 +238,22 @@ class DeltaCSR:
         """Current sorted neighbor array of ``v`` (dead vertices: empty)."""
         if v >= self._n or not self._alive[v]:
             return _EMPTY
-        base = (
-            self._base.neighbors(v) if v < self._base.n_vertices else _EMPTY
-        )
-        dels = self._deleted.get(v)
-        if dels:
-            base = base[~np.isin(base, np.fromiter(dels, dtype=np.int64))]
-        ins = self._inserted.get(v)
-        if not ins:
-            return base
-        extra = np.fromiter(ins, dtype=np.int64, count=len(ins))
-        return np.sort(np.concatenate([base, extra]))
+        if v < self._nb:
+            row = self._base.neighbors(v)
+            if self._base_dead:
+                codes = np.minimum(row, v) * self._nb + np.maximum(row, v)
+                row = row[self._live[self._codes.searchsorted(codes)]]
+        else:
+            row = _EMPTY
+        if row.size == self._degrees[v]:  # no live inserted neighbors
+            return row
+        k = self._log_len
+        log_u, log_v = self._log_u[:k], self._log_v[:k]
+        hit = (log_u == v) | (log_v == v)
+        hit &= self._log_live[:k]
+        # the other endpoint of each live inserted edge
+        extra = log_u[hit] + log_v[hit] - v
+        return np.sort(np.concatenate([row, extra]))
 
     def gather(self, vertices) -> tuple[np.ndarray, np.ndarray]:
         """Flattened neighborhoods of ``vertices`` -- the delta-aware
@@ -208,33 +272,22 @@ class DeltaCSR:
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Current undirected edge list as ``(u, v)`` arrays with ``u < v``
-        (the properness checker's input; merged from base + overlay)."""
+        (the properness checker's input).
+
+        Order contract: the live base edges first, in base CSR order (the
+        order of ``base.edge_arrays()``), then the live inserted edges in
+        insertion order.  One masked concatenation, O(m) in numpy.
+        """
         base_u, base_v = self._base.edge_arrays()
-        if self._deleted and any(self._deleted.values()):
-            codes = base_u * self._n + base_v
-            dead = np.fromiter(
-                (
-                    (u * self._n + w) if u < w else (w * self._n + u)
-                    for u, ws in self._deleted.items()
-                    for w in ws
-                    if u < w
-                ),
-                dtype=np.int64,
-            )
-            keep = ~np.isin(codes, dead)
-            base_u, base_v = base_u[keep], base_v[keep]
-        ins_pairs = [
-            (u, w)
-            for u, ws in self._inserted.items()
-            for w in ws
-            if u < w
-        ]
-        if not ins_pairs:
+        if self._base_dead:
+            base_u, base_v = base_u[self._live], base_v[self._live]
+        if not self._log_alive:
             return base_u, base_v
-        ins = np.asarray(ins_pairs, dtype=np.int64)
+        k = self._log_len
+        keep = self._log_live[:k]
         return (
-            np.concatenate([base_u, ins[:, 0]]),
-            np.concatenate([base_v, ins[:, 1]]),
+            np.concatenate([base_u, self._log_u[:k][keep]]),
+            np.concatenate([base_v, self._log_v[:k][keep]]),
         )
 
     # ---- compaction ----------------------------------------------------------
@@ -245,11 +298,10 @@ class DeltaCSR:
         return self._delta_ops > budget
 
     def compact(self) -> CSRAdjacency:
-        """Fold the overlay into a fresh base CSR and return it."""
+        """Fold the live-mask and insert log into a fresh base CSR and
+        return it."""
         edge_u, edge_v = self.edge_arrays()
-        self._base = CSRAdjacency.from_edge_arrays(edge_u, edge_v, self._n)
-        self._inserted = {}
-        self._deleted = {}
+        self._reset(CSRAdjacency.from_edge_arrays(edge_u, edge_v, self._n))
         self._delta_ops = 0
         self._rebuilds += 1
         return self._base

@@ -22,6 +22,7 @@ on application and raises on any drift.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,36 +63,86 @@ class _Shadow:
     Tracks just enough (adjacency + cluster sizes + liveness) to emit only
     applicable events; the engine's own application is the authority and
     raises if a generator ever drifts from these semantics.
+
+    The generators draw edges by *position* in :meth:`edge_arrays`, so its
+    order is part of every stream's bytes.  That order is the one a
+    dict-of-sets overlay produced: the live base edges in base CSR order,
+    then, per vertex in first-insert order, its inserted neighbors in set
+    iteration order.  ``_inserted`` replays exactly those set operations
+    (keys are kept when a set empties); the shadow never compacts, so the
+    initial CSR stays its base.
     """
 
     def __init__(self, graph):
         self.delta = DeltaCSR(graph.csr)
         self.sizes = [graph.cluster_size(v) for v in range(graph.n_vertices)]
+        self._base = graph.csr
+        self._inserted: dict[int, set[int]] = {}
 
     def alive_vertices(self) -> np.ndarray:
         return np.flatnonzero(self.delta.alive_mask)
 
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The live edges as ``(u, v)`` arrays with ``u < v``, in the
+        sampling order described on the class."""
+        edge_u, edge_v = self.delta.edge_arrays()
+        pairs = [
+            (u, w) for u, ws in self._inserted.items() for w in ws if u < w
+        ]
+        if not pairs:
+            return edge_u, edge_v
+        n_base = edge_u.size - len(pairs)  # the delta lists base edges first
+        ins = np.asarray(pairs, dtype=np.int64)
+        return (
+            np.concatenate([edge_u[:n_base], ins[:, 0]]),
+            np.concatenate([edge_v[:n_base], ins[:, 1]]),
+        )
+
+    def _in_base(self, u: int, v: int) -> bool:
+        if u >= self._base.n_vertices:
+            return False
+        nbrs = self._base.neighbors(u)
+        i = int(np.searchsorted(nbrs, v))
+        return i < nbrs.size and int(nbrs[i]) == v
+
+    def _forget(self, u: int, v: int) -> None:
+        """Mirror the deletion of edge ``{u, v}`` in ``_inserted``."""
+        ins_u = self._inserted.get(u)
+        if ins_u is not None and v in ins_u:
+            ins_u.discard(v)
+            self._inserted[v].discard(u)
+
     def insert(self, u: int, v: int) -> None:
         self.delta.insert_edge(u, v)
+        if not self._in_base(u, v):  # a base edge is resurrected instead
+            self._inserted.setdefault(u, set()).add(v)
+            self._inserted.setdefault(v, set()).add(u)
 
     def delete(self, u: int, v: int) -> None:
         self.delta.delete_edge(u, v)
+        self._forget(u, v)
 
     def add(self, edges, size: int) -> int:
         w = self.delta.add_vertex()
         self.sizes.append(size)
         for x in edges:
-            self.delta.insert_edge(w, int(x))
+            self.insert(w, int(x))
         return w
 
+    def _detach(self, v: int) -> list[int]:
+        detached = self.delta.remove_vertex(v)
+        for u in detached:
+            self._forget(v, u)
+        return detached
+
     def remove(self, v: int) -> None:
-        self.delta.remove_vertex(v)
+        self._detach(v)
         self.sizes[v] = 0
 
     def merge(self, u: int, v: int) -> None:
-        for x in self.delta.remove_vertex(v):
+        for x in self._detach(v):
             if x != u and not self.delta.has_edge(u, x):
-                self.delta.insert_edge(u, x)
+                self.insert(u, x)
         self.sizes[u] += self.sizes[v]
         self.sizes[v] = 0
 
@@ -101,9 +152,9 @@ class _Shadow:
         self.sizes.append(size)
         self.sizes[u] -= size
         for x in moved:
-            self.delta.delete_edge(u, int(x))
-            self.delta.insert_edge(w, int(x))
-        self.delta.insert_edge(u, w)
+            self.delete(u, int(x))
+            self.insert(w, int(x))
+        self.insert(u, w)
         return w
 
 
@@ -234,7 +285,7 @@ def sliding_window_stream(
     graph = _initial_graph(rng, n_vertices, avg_degree, cluster_size, topology)
     shadow = _Shadow(graph)
     edge_u, edge_v = graph.h_edge_arrays()
-    window: list[tuple[int, int]] = list(
+    window: deque[tuple[int, int]] = deque(
         zip(edge_u.tolist(), edge_v.tolist())
     )
     churn = max(1, int(churn_fraction * len(window)))
@@ -242,8 +293,8 @@ def sliding_window_stream(
     out: list[UpdateBatch] = []
     for _ in range(batches):
         batch = UpdateBatch()
-        retired, window = window[:churn], window[churn:]
-        for u, v in retired:
+        for _ in range(min(churn, len(window))):  # retire the oldest
+            u, v = window.popleft()
             batch.edge_delete(u, v)
             shadow.delete(u, v)
         for _ in range(churn):
@@ -307,7 +358,7 @@ def hotspot_churn_stream(
     for _ in range(batches):
         batch = UpdateBatch()
         # retire random hotspot-incident edges (any edge when none left)
-        edge_u, edge_v = shadow.delta.edge_arrays()
+        edge_u, edge_v = shadow.edge_arrays()
         touches_hot = (edge_u < hot_count) | (edge_v < hot_count)
         pool = np.flatnonzero(touches_hot)
         if pool.size == 0:
@@ -396,7 +447,7 @@ def cluster_churn_stream(
     for _ in range(batches):
         batch = UpdateBatch()
         # background edge churn first (matches the batch application order)
-        edge_u, edge_v = shadow.delta.edge_arrays()
+        edge_u, edge_v = shadow.edge_arrays()
         take = min(churn, edge_u.size)
         picked = rng.choice(edge_u.size, size=take, replace=False)
         for i in picked:
@@ -412,7 +463,7 @@ def cluster_churn_stream(
             shadow.insert(*pair)
         # merges: adjacent alive pairs coalesce
         for _ in range(merges_per_batch):
-            edge_u, edge_v = shadow.delta.edge_arrays()
+            edge_u, edge_v = shadow.edge_arrays()
             if edge_u.size == 0:
                 break
             i = int(rng.integers(0, edge_u.size))
@@ -421,10 +472,11 @@ def cluster_churn_stream(
             shadow.merge(u, v)
         # splits: big-enough clusters shed half their neighbors
         for _ in range(splits_per_batch):
+            degrees = shadow.delta.degrees
             candidates = [
                 int(v)
                 for v in shadow.alive_vertices()
-                if shadow.sizes[v] >= 2 and shadow.delta.neighbors(int(v)).size >= 1
+                if shadow.sizes[v] >= 2 and degrees[v] >= 1
             ]
             if not candidates:
                 break

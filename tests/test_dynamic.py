@@ -158,14 +158,101 @@ class TestDeltaCSR:
             expected = sorted(reference[v])
             assert delta.neighbors(v).tolist() == expected, f"vertex {v}"
             assert delta.degrees[v] == len(expected)
+        # every ordered pair, dead ids and self-pairs included
+        for u in reference:
+            for v in reference:
+                assert delta.has_edge(u, v) == (v in reference[u]), (u, v)
         assert delta.n_edges == sum(len(s) for s in reference.values()) // 2
         edge_u, edge_v = delta.edge_arrays()
-        got = {(int(u), int(v)) for u, v in zip(edge_u, edge_v)}
+        assert (edge_u < edge_v).all()
+        got = [(int(u), int(v)) for u, v in zip(edge_u, edge_v)]
         want = {
             (u, v) for u in reference for v in reference[u] if u < v
         }
-        assert got == want
+        assert len(got) == len(want) and set(got) == want
         assert {v for v in reference if delta.is_alive(v)} == alive
+        verts = np.arange(len(reference))
+        seg_ids, flat = delta.gather(verts)
+        for v in verts:
+            assert flat[seg_ids == v].tolist() == sorted(reference[int(v)])
+        csr = delta.as_csr()
+        want_csr = CSRAdjacency.from_adj_lists(
+            [sorted(reference[v]) for v in range(len(reference))]
+        )
+        assert np.array_equal(csr.indptr, want_csr.indptr)
+        assert np.array_equal(csr.indices, want_csr.indices)
+
+    @staticmethod
+    def _path(n=5):
+        """DeltaCSR over the path 0-1-...-(n-1) plus its reference."""
+        u = np.arange(n - 1)
+        delta = DeltaCSR(CSRAdjacency.from_edge_arrays(u, u + 1, n))
+        reference = {v: {w for w in (v - 1, v + 1) if 0 <= w < n}
+                     for v in range(n)}
+        return delta, reference
+
+    @pytest.mark.parametrize("compact_first", [False, True])
+    def test_resurrect_deleted_base_edge(self, compact_first):
+        delta, reference = self._path()
+        if compact_first:
+            delta.insert_edge(0, 4)  # an overlay edge the rebuild absorbs
+            reference[0].add(4)
+            reference[4].add(0)
+            delta.compact()
+        delta.delete_edge(2, 1)
+        assert not delta.has_edge(1, 2)
+        assert delta.neighbors(2).tolist() == [3]
+        delta.insert_edge(1, 2)
+        self._assert_equal(delta, reference, set(reference))
+        assert delta.pending_delta_ops == 2
+        delta.compact()
+        self._assert_equal(delta, reference, set(reference))
+
+    @pytest.mark.parametrize("compact_first", [False, True])
+    def test_delete_then_reinsert_overlay_edge(self, compact_first):
+        delta, reference = self._path()
+        delta.insert_edge(3, 0)
+        if compact_first:
+            delta.compact()  # {0, 3} becomes a base edge
+        delta.delete_edge(0, 3)
+        assert not delta.has_edge(3, 0)
+        assert delta.neighbors(0).tolist() == [1]
+        assert delta.degrees[3] == 2
+        delta.insert_edge(0, 3)
+        reference[0].add(3)
+        reference[3].add(0)
+        self._assert_equal(delta, reference, set(reference))
+        delta.delete_edge(3, 0)
+        delta.insert_edge(3, 0)
+        self._assert_equal(delta, reference, set(reference))
+        delta.compact()
+        self._assert_equal(delta, reference, set(reference))
+
+    def test_edge_arrays_order_contract(self):
+        """Live base edges first, in base CSR order, then the live
+        inserted edges in insertion order (what the stream generators'
+        shadow relies on to keep its own sampling order)."""
+        base = CSRAdjacency.from_edge_arrays(
+            np.array([0, 0, 1, 2, 3]), np.array([1, 3, 2, 4, 4]), 6
+        )
+        delta = DeltaCSR(base)
+        edge_u, edge_v = delta.edge_arrays()
+        assert list(zip(edge_u.tolist(), edge_v.tolist())) == [
+            (0, 1), (0, 3), (1, 2), (2, 4), (3, 4)
+        ]
+        w = delta.add_vertex()
+        delta.insert_edge(5, 1)
+        delta.delete_edge(1, 2)
+        delta.insert_edge(w, 0)
+        delta.insert_edge(4, 0)
+        delta.delete_edge(0, 6)  # tombstones the second insert
+        delta.insert_edge(2, 1)  # resurrects a base edge in place
+        delta.insert_edge(2, 3)
+        edge_u, edge_v = delta.edge_arrays()
+        assert list(zip(edge_u.tolist(), edge_v.tolist())) == [
+            (0, 1), (0, 3), (1, 2), (2, 4), (3, 4),
+            (1, 5), (0, 4), (2, 3),
+        ]
 
     def test_duplicate_insert_and_missing_delete_rejected(self):
         delta = DeltaCSR(CSRAdjacency.from_edge_arrays(

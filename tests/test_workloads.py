@@ -484,7 +484,10 @@ class TestStreamPins:
             ),
             "49b84469cadcf6456e4f0abbf8bffc7aee149b258a87b11924b7d2ba6dd83bff",
         ),
-        "sliding_window_churn_miniature": (_churn_miniature, "37473275264d24c9c84f6dbbff6320acb2288394249a6c85cef0ffb95d97ad54"),
+        "sliding_window_churn_miniature": (
+            _churn_miniature,
+            "37473275264d24c9c84f6dbbff6320acb2288394249a6c85cef0ffb95d97ad54",
+        ),
     }
 
     #: Engine runs through ``DynamicColoring`` (repair mode, per-batch
