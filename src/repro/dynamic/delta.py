@@ -78,7 +78,6 @@ class DeltaCSR:
         self._log_v = _EMPTY
         self._log_live = np.empty(0, dtype=bool)
         self._log_len = 0
-        self._log_alive = 0
         self._slots: dict[int, int] = {}  # pair key -> live log slot
 
     def _index(self) -> np.ndarray:
@@ -146,7 +145,7 @@ class DeltaCSR:
         nb = self._nb
         if lo < 0 or hi >= nb:
             return -1
-        codes = self._codes if self._codes is not None else self._index()
+        codes = self._index()
         code = lo * nb + hi
         i = int(codes.searchsorted(code))
         return i if i < codes.size and codes[i] == code else -1
@@ -191,7 +190,6 @@ class DeltaCSR:
         self._log_v[k] = hi
         self._log_live[k] = True
         self._log_len = k + 1
-        self._log_alive += 1
         self._slots[key] = k
 
     def delete_edge(self, u: int, v: int) -> None:
@@ -200,7 +198,6 @@ class DeltaCSR:
         slot = self._slots.pop(lo * _KEY + hi, None)
         if slot is not None:  # overlay-only edge: tombstone it
             self._log_live[slot] = False
-            self._log_alive -= 1
         else:
             i = self._base_edge(lo, hi)
             if i < 0 or not self._live[i]:
@@ -281,7 +278,7 @@ class DeltaCSR:
         base_u, base_v = self._base.edge_arrays()
         if self._base_dead:
             base_u, base_v = base_u[self._live], base_v[self._live]
-        if not self._log_alive:
+        if not self._slots:  # no live inserted edge
             return base_u, base_v
         k = self._log_len
         keep = self._log_live[:k]
